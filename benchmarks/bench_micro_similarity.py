@@ -53,8 +53,8 @@ def test_levenshtein_bounded_faster_on_dissimilar(benchmark):
 
 
 def test_levenshtein_reference_kernel_throughput(benchmark):
-    """The pre-PR-3 two-row DP — the baseline the bit-parallel kernel
-    is measured against (see benchmarks/perf_harness.py)."""
+    """The classic two-row DP — the reference the bit-parallel kernel
+    is verified against, timed here for comparison."""
     pairs = _title_pairs()
 
     def run():

@@ -141,7 +141,7 @@ from .mapreduce import (
     make_partitions,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "SimulatedRun",

@@ -20,13 +20,11 @@ sockets, with ``--task-timeout`` guarding against hung workers and
 ``--max-worker-respawns`` letting the pool heal after losses),
 ``--input-format csv-shards`` streams the input through the
 :mod:`repro.io` record-source layer (``columnar`` serves it from a
-memory-mapped dataset written by ``pack``), ``--no-batch-kernel``
-disables the batched similarity kernel (results are byte-identical
-either way), ``--memory-budget`` bounds shuffle
-buffering by spilling sorted run files to disk, ``--progress`` streams
-task lifecycle events to stderr as they happen, and ``--save-result``
-persists the full :class:`~repro.engine.PipelineResult` as versioned
-JSON.  The ``--output`` CSV is a **streaming sink**: match rows are
+memory-mapped dataset written by ``pack``), ``--memory-budget``
+bounds shuffle buffering by spilling sorted run files to disk,
+``--progress`` streams task lifecycle events to stderr as they happen,
+and ``--save-result`` persists the full
+:class:`~repro.engine.PipelineResult` as versioned JSON.  The ``--output`` CSV is a **streaming sink**: match rows are
 written as reduce task units complete, not buffered until the end — so
 a long run's output is inspectable while it executes, and local and
 remote runs of the same pipeline produce byte-identical files.
@@ -182,10 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max map-output records buffered in memory "
                               "during the shuffle; the rest spills through "
                               "sorted run files on disk (same results)")
-        sub.add_argument("--no-batch-kernel", action="store_true",
-                         help="score pairs one at a time instead of through "
-                              "the batched similarity kernel (byte-identical "
-                              "results; mainly for benchmarking)")
         sub.add_argument("--progress", action="store_true",
                          help="stream task lifecycle events to stderr while "
                               "the pipeline runs")
@@ -253,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--memory-budget", type=_positive_int, default=None,
                         help="max map-output records buffered in memory "
                              "during the shuffle (rest spills to disk)")
-    ingest.add_argument("--no-batch-kernel", action="store_true",
-                        help="score pairs one at a time instead of through "
-                             "the batched similarity kernel (byte-identical "
-                             "results)")
     ingest.add_argument("--progress", action="store_true",
                         help="stream task lifecycle events to stderr")
 
@@ -284,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="memory = CSV input; columnar = --input is a "
                              "dataset directory written by 'pack'")
     submit.add_argument("--output", required=True)
-    submit.add_argument("--no-batch-kernel", action="store_true",
-                        help="ask the server to score pairs one at a time "
-                             "instead of through the batched similarity "
-                             "kernel (byte-identical results)")
     submit.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
                         default="blocksplit")
     submit.add_argument("--attribute", default="title")
@@ -586,7 +572,6 @@ def cmd_dedup(args: argparse.Namespace) -> int:
             num_reduce_tasks=args.reduce_tasks,
             backend=_backend(args),
             memory_budget=args.memory_budget,
-            batch_kernel=not args.no_batch_kernel,
         )
         print(f"{input_note}, {len(matches)} duplicate pairs")
         _write_matches(matches, args.output)
@@ -599,7 +584,6 @@ def cmd_dedup(args: argparse.Namespace) -> int:
             num_reduce_tasks=args.reduce_tasks,
             backend=_backend(args),
             memory_budget=args.memory_budget,
-            batch_kernel=not args.no_batch_kernel,
         )
         run_input = record_input
         partitions = None
@@ -655,7 +639,6 @@ def cmd_link(args: argparse.Namespace) -> int:
         num_reduce_tasks=args.reduce_tasks,
         backend=_backend(args),
         memory_budget=args.memory_budget,
-        batch_kernel=not args.no_batch_kernel,
     )
     result, count = _run_pipeline(
         pipeline,
@@ -698,7 +681,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             ThresholdMatcher(args.attribute, args.threshold),
             num_map_tasks=args.map_tasks,
             num_reduce_tasks=args.reduce_tasks,
-            batch_kernel=not args.no_batch_kernel,
         )
         on_event = _progress_printer(sys.stderr) if args.progress else None
         try:
@@ -750,7 +732,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         num_reduce_tasks=args.reduce_tasks,
         backend=_backend(args),
         memory_budget=args.memory_budget,
-        batch_kernel=not args.no_batch_kernel,
     )
     partitions = make_partitions(entities, args.map_tasks)
     on_event = _progress_printer(sys.stderr) if args.progress else None
@@ -796,15 +777,13 @@ def cmd_submit(args: argparse.Namespace) -> int:
         return 2
     entities = _load_entities(args, args.input)
     # The pipeline's own backend is irrelevant for remote submission:
-    # only the resolved request ships, the server's shared pool runs it
-    # (the batch-kernel flag rides along inside the request).
+    # only the resolved request ships, the server's shared pool runs it.
     pipeline = ERPipeline(
         args.strategy,
         PrefixBlocking(args.attribute, args.prefix_length),
         ThresholdMatcher(args.attribute, args.threshold),
         num_map_tasks=args.map_tasks,
         num_reduce_tasks=args.reduce_tasks,
-        batch_kernel=not args.no_batch_kernel,
     )
     on_event = _progress_printer(sys.stderr) if args.progress else None
     try:

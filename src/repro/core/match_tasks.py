@@ -22,6 +22,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
+from ..er.batch_kernel import CrossPairs, TrianglePairs
 from .enumeration import block_pair_count
 
 #: Split-component encoding for an unsplit block ("k.*").
@@ -161,21 +162,17 @@ def plan_block_split(bdm: BdmLike, num_reduce_tasks: int) -> MatchTaskAssignment
 # Batched match-task execution
 # ---------------------------------------------------------------------------
 #
-# With ``batch_kernel`` enabled the reduce functions stop walking their
-# candidate pairs one ``match_prepared`` call at a time: they describe
-# the group's pairs as one spec (triangle / cross / spans — see
-# :mod:`repro.er.batch_kernel`) and hand the whole match task to the
-# matcher in a single ``match_batch`` call.  These helpers hold the
-# pieces every batched reduce loop shares.
+# Every reduce function describes its group's candidate pairs as one
+# spec (triangle / cross / spans — see :mod:`repro.er.batch_kernel`) and
+# hands the whole match task to the matcher in a single ``match_batch``
+# call.  These helpers hold the pieces the reduce loops share.
 
 
 def run_batched_group(matcher, prepared: list, spec, emit, context) -> None:
     """Execute one reduce group's pair spec through ``match_batch``.
 
-    Emits the returned matches in spec pair order — the order the
-    scalar streaming loops emit them — and flushes the pair counters
-    once per batch with the spec's exact pair count, so per-task
-    outputs and counters are byte-identical to the scalar path.
+    Emits the returned matches in spec pair order and flushes the pair
+    counters once per group with the spec's exact pair count.
     """
     from ..mapreduce.counters import flush_pair_counters
 
@@ -185,26 +182,53 @@ def run_batched_group(matcher, prepared: list, spec, emit, context) -> None:
     flush_pair_counters(context, spec.count, len(matches))
 
 
-def leading_run_split(markers: Sequence) -> int | None:
-    """Split point of a sequence expected to be two contiguous runs.
+def run_self_group(matcher, entities: Sequence, emit, context) -> None:
+    """All pairs of one group: a triangular batch."""
+    prepare = matcher.prepare
+    prepared = [prepare(e) for e in entities]
+    run_batched_group(matcher, prepared, TrianglePairs(len(prepared)), emit, context)
 
-    Returns ``split`` such that ``markers[:split]`` all equal
-    ``markers[0]`` and ``markers[split:]`` never repeats it — the shape
-    a cross-product group has when the stable shuffle delivers one
-    sub-block contiguously before the other.  Returns ``None`` when the
-    leading marker reappears later: the runs are interleaved, no
-    cross-product batch can be formed, and the caller must fall back to
-    its scalar streaming loop (which defines the semantics for such
-    input).  An empty sequence yields 0, a single run its full length.
+
+def buffered_first(members: Sequence[tuple[object, bool]]) -> tuple[list, int]:
+    """Order a cross group's ``(item, buffered)`` members buffered run first.
+
+    Returns the items with every buffered one ahead of every streamed
+    one (arrival order kept on both sides) and the buffered count.  The
+    shuffle normally delivers the buffered run first and contiguously,
+    which makes this the identity; interleaved input is reordered so
+    that every buffered × streamed pair is still compared exactly once.
     """
-    if not markers:
-        return 0
-    first = markers[0]
-    n = len(markers)
-    split = 1
-    while split < n and markers[split] == first:
-        split += 1
-    for marker in markers[split:]:
-        if marker == first:
-            return None
-    return split
+    buffered = [item for item, is_buffered in members if is_buffered]
+    split = len(buffered)
+    buffered.extend(item for item, is_buffered in members if not is_buffered)
+    return buffered, split
+
+
+def run_cross_group(
+    matcher, members: Sequence[tuple[object, bool]], emit, context
+) -> None:
+    """Every buffered × streamed pair of a group: a cross batch.
+
+    ``members`` are the group's ``(entity, buffered)`` pairs in arrival
+    order; see :func:`buffered_first` for out-of-order input.
+    """
+    entities, split = buffered_first(members)
+    prepare = matcher.prepare
+    prepared = [prepare(e) for e in entities]
+    run_batched_group(
+        matcher, prepared, CrossPairs(split, len(prepared)), emit, context
+    )
+
+
+def run_sub_block_cross(matcher, values: Sequence, emit, context) -> None:
+    """BlockSplit's ``k.i×j`` cross product over ``(entity, partition)`` values.
+
+    Values arrive partition-contiguously (stable shuffle), so the first
+    partition index delimits the buffered sub-block — Algorithm 1 lines
+    56-65.
+    """
+    if values:
+        first = values[0][1]
+        run_cross_group(
+            matcher, [(e, p == first) for e, p in values], emit, context
+        )

@@ -47,7 +47,6 @@ def resolve_with_missing_keys(
     num_reduce_tasks: int = 3,
     backend: ExecutionBackend | str = "serial",
     memory_budget: int | None = None,
-    batch_kernel: bool = True,
 ) -> MatchResult:
     """One-source dedup where some entities lack a blocking key.
 
@@ -69,7 +68,6 @@ def resolve_with_missing_keys(
             num_reduce_tasks=num_reduce_tasks,
             backend=backend,
             memory_budget=memory_budget,
-            batch_kernel=batch_kernel,
         )
         result.merge(pipeline.run(keyed).matches)
 
@@ -83,7 +81,6 @@ def resolve_with_missing_keys(
             num_reduce_tasks=num_reduce_tasks,
             backend=backend,
             memory_budget=memory_budget,
-            batch_kernel=batch_kernel,
         )
         cross_result = cross.run(
             keyed,
@@ -102,7 +99,6 @@ def resolve_with_missing_keys(
             num_reduce_tasks=num_reduce_tasks,
             backend=backend,
             memory_budget=memory_budget,
-            batch_kernel=batch_kernel,
         )
         result.merge(within.run(keyless).matches)
     return result
@@ -118,7 +114,6 @@ def link_with_missing_keys(
     num_reduce_tasks: int = 3,
     backend: ExecutionBackend | str = "serial",
     memory_budget: int | None = None,
-    batch_kernel: bool = True,
 ) -> MatchResult:
     """Two-source linkage with keyless entities (Appendix I's union).
 
@@ -145,7 +140,6 @@ def link_with_missing_keys(
             num_reduce_tasks=num_reduce_tasks,
             backend=backend,
             memory_budget=memory_budget,
-            batch_kernel=batch_kernel,
         )
         leg_result = pipeline.run(r_leg, s_leg, num_r_partitions=1, num_s_partitions=1)
         result.merge(leg_result.matches)

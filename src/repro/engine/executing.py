@@ -129,9 +129,7 @@ class ExecutingBackendBase(ExecutionBackend):
                 use_combiner=request.use_bdm_combiner,
                 memory_budget=budget,
             )
-            job = strategy.build_dual_job(
-                bdm, request.matcher, r, batch_kernel=request.batch_kernel
-            )
+            job = strategy.build_dual_job(bdm, request.matcher, r)
             self._set_stage(runtime, STAGE_MATCHING)
             job2 = runtime.run(
                 job, annotated, r,
@@ -148,11 +146,7 @@ class ExecutingBackendBase(ExecutionBackend):
                 memory_budget=budget,
             )
             job = strategy.build_job(
-                bdm,
-                request.matcher,
-                r,
-                blocking=request.blocking,
-                batch_kernel=request.batch_kernel,
+                bdm, request.matcher, r, blocking=request.blocking
             )
             self._set_stage(runtime, STAGE_MATCHING)
             job2 = runtime.run(
@@ -162,11 +156,7 @@ class ExecutingBackendBase(ExecutionBackend):
         else:
             bdm, job1 = None, None
             job = strategy.build_job(
-                None,
-                request.matcher,
-                r,
-                blocking=request.blocking,
-                batch_kernel=request.batch_kernel,
+                None, request.matcher, r, blocking=request.blocking
             )
             self._set_stage(runtime, STAGE_MATCHING)
             job2 = runtime.run(
@@ -229,9 +219,7 @@ class ExecutingBackendBase(ExecutionBackend):
             Partition(list(p), index=i)
             for i, p in enumerate(list(spec.old_partitions) + list(delta_annotated))
         ]
-        job = strategy.build_delta_job(
-            merged, request.matcher, r, batch_kernel=request.batch_kernel
-        )
+        job = strategy.build_delta_job(merged, request.matcher, r)
         self._set_stage(runtime, STAGE_MATCHING)
         job2 = runtime.run(
             job, job2_input, r,

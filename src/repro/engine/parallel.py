@@ -16,10 +16,7 @@ Executor choice:
     True multi-core speedup.  Requires the job (matcher, blocking
     function, BDM) to be picklable; matcher *instance* state mutated in
     workers stays in the workers — read comparison statistics from the
-    job counters, which are always shipped back.  The same applies to
-    :class:`~repro.er.matching.ThresholdMatcher`'s similarity memo
-    cache: it is per-worker, dropped from the pickles (the job is
-    pickled once per task submission), and rebuilt as workers match.
+    job counters, which are always shipped back.
 ``"thread"``
     No pickling requirements and shared matcher state, but subject to
     the GIL — useful for tests and I/O-bound matchers.

@@ -85,13 +85,6 @@ class ERPipeline:
         buffers in memory; beyond it, records spill through sorted run
         files on disk (:class:`~repro.mapreduce.ExternalShuffle`).
         Matches and counters are byte-identical either way.
-    batch_kernel:
-        When true (the default), matching reduce tasks score whole
-        groups through :meth:`~repro.er.matching.Matcher.match_batch`
-        (the columnar batch kernel of :mod:`repro.er.batch_kernel`)
-        instead of one ``match_prepared`` call per pair.  Matches and
-        counters are byte-identical either way; ``False`` restores the
-        scalar pair loops.
     """
 
     def __init__(
@@ -107,7 +100,6 @@ class ERPipeline:
         cluster: ClusterSpec | None = None,
         cost_model: CostModel | None = None,
         memory_budget: int | None = None,
-        batch_kernel: bool = True,
     ):
         self.strategy = get_strategy(strategy)
         self.blocking = blocking
@@ -119,7 +111,6 @@ class ERPipeline:
         self.cluster = cluster
         self.cost_model = cost_model
         self.memory_budget = memory_budget
-        self.batch_kernel = batch_kernel
 
     # -- fluent configuration ----------------------------------------------
 
@@ -157,7 +148,6 @@ class ERPipeline:
             cluster=self.cluster,
             cost_model=self.cost_model,
             memory_budget=self.memory_budget,
-            batch_kernel=self.batch_kernel,
         )
         settings.update(overrides)
         strategy = settings.pop("strategy")
@@ -323,7 +313,6 @@ class ERPipeline:
             cost_model=self.cost_model,
             memory_budget=self.memory_budget,
             delta=DeltaSpec(tuple(state.partitions), state.bdm),
-            batch_kernel=self.batch_kernel,
         )
 
     def build_request(
@@ -380,7 +369,6 @@ class ERPipeline:
             cost_model=self.cost_model,
             source=source,
             memory_budget=self.memory_budget,
-            batch_kernel=self.batch_kernel,
         )
 
     # -- helpers -------------------------------------------------------------

@@ -1,55 +1,46 @@
 """Batched pair scoring over packed arrays — the vectorized match kernel.
 
-PR 3 made the per-pair hot path fast (interned strings, Myers' bit-
-parallel kernel, a bounded LRU memo); this module removes the per-pair
-Python overhead around it.  A reduce group's candidate pairs are
-described *symbolically* by a :class:`PairSpec` — a triangle, a cross
-product, or a list of contiguous spans — instead of materialized
-``(i, j)`` tuples, and :func:`score_pair_batch` scores the whole batch
-in one call:
+Every reduce task hands its candidate pairs to the matcher in one call.
+The pairs are described *symbolically* by a pair spec — a triangle
+(:class:`TrianglePairs`), a cross product (:class:`CrossPairs`) or a
+list of contiguous spans (:class:`SpanPairs`) — instead of materialized
+``(i, j)`` tuples, and :func:`score_pair_batch` scores the whole batch:
 
 1. the group's strings are packed once into code/length arrays (each
    *distinct* string gets one integer code, so duplicate-heavy groups
    collapse),
-2. a vectorized exact-equality check settles same-string pairs at 1.0,
-3. a vectorized length filter settles hopeless pairs at 0.0 (the same
-   ``diff > ⌊(1 − t)·longest⌋`` test the scalar matcher applies),
-4. the surviving pairs are grouped by distinct unordered string pair
-   and each distinct pair runs Myers' bit-parallel loop exactly once,
-   over pattern masks prepacked per distinct string
-   (:func:`repro.er.similarity.myers_masks`) — not per pair.
+2. an exact-equality check on the codes settles same-string pairs at
+   1.0,
+3. a length filter settles hopeless pairs at 0.0 (the
+   ``diff > ⌊(1 − t)·longest⌋`` test of
+   :func:`~repro.er.similarity.levenshtein_similarity_bounded`),
+4. the surviving pairs are reduced to their distinct unordered
+   ``(lo, hi)`` code pairs, and each distinct pair is scored exactly
+   once by the same bounded edit-distance kernels the scalar
+   similarity calls.
 
-When numpy is importable, steps 2–4 use int64/float64 array arithmetic,
-and step 4 runs the Myers recurrence itself *batched*: every distinct
-surviving pair that needs the bit-parallel kernel becomes one ``uint64``
-lane of :func:`repro.er.similarity.myers_distance_batch`, which advances
-all lanes one text position per vectorized step (with the Ukkonen early
+When numpy is importable, steps 2–4 use int64/float64 array arithmetic
+(``np.unique`` over ``lo·n + hi`` yields the distinct pairs and the
+gather index back to pair order), and the Myers recurrence itself runs
+*batched*: every distinct surviving pair that needs the bit-parallel
+kernel becomes one ``uint64`` lane of
+:func:`repro.er.similarity.myers_distance_batch`, which advances all
+lanes one text position per vectorized step (with the Ukkonen early
 exit applied vector-wide through a per-lane alive mask).  Otherwise a
-pure-stdlib loop with the identical dedup/memo structure runs.
+pure-stdlib loop with the same dedup structure runs, with Myers pattern
+masks prepacked per distinct string.
 
-Both paths are byte-identical to the scalar kernel — including the
-matcher's LRU memo.  Scores are easy: every score is either ``1.0``/
-``0.0`` from the same short-circuits the scalar matcher applies or the
-output of the same bounded Myers/banded kernels it calls.  Cache
-counters and cache *contents* are the subtle part: the batch computes
-each distinct pair once, but the scalar matcher probes its LRU once per
-pair occurrence, so under eviction pressure (more distinct surviving
-pairs than ``memoize``) a naive per-distinct accounting drifts — both
-in hit/miss totals and in which entries survive into later groups.
-:class:`_DistinctScorer` therefore *replays* the scalar pop/evict/
-reinsert discipline per pair occurrence, in pair order, against the
-shared cache (taking a closed-form shortcut only when no eviction can
-occur, where the replay's outcome is provable in advance).  Matches,
-per-task outputs, all counters, and the residual cache state are
-identical whichever path ran.  numpy stays an *optional* dependency
-(the ``fast`` extra); set ``REPRO_ER_FORCE_STDLIB=1`` to force the
-fallback with numpy installed.
+Both paths return exactly the scores
+:func:`~repro.er.similarity.levenshtein_similarity_bounded` gives for
+each pair: every score is either ``1.0``/``0.0`` from the same
+short-circuits or the output of the same bounded Myers/banded kernels.
+numpy stays an *optional* dependency (the ``fast`` extra); set
+``REPRO_ER_FORCE_STDLIB=1`` to force the fallback with numpy installed.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
 from bisect import bisect_right
 from math import isqrt
 from typing import Iterator, Sequence
@@ -202,201 +193,19 @@ class SpanPairs:
         return i, j
 
 
-class _DistinctScorer:
-    """Computes each *distinct* unordered string pair of a batch once,
-    while replaying the scalar matcher's LRU discipline per occurrence.
-
-    Two responsibilities, deliberately separated:
-
-    * **Scoring** (:meth:`prime` / :meth:`touch` misses) computes every
-      distinct pair's similarity exactly once — batched through
-      :func:`~repro.er.similarity.myers_distance_batch` when numpy is
-      active and enough lanes qualify, else via the same bounded
-      kernels the scalar matcher calls, with Myers pattern masks
-      prepacked per distinct string.  Scores land in ``_scores`` and
-      never depend on the shared cache's state.
-    * **Cache bookkeeping** (:meth:`touch` / :meth:`replay_keys`)
-      reproduces, per pair occurrence and in pair order, exactly the
-      pop → count hit/miss → evict → reinsert sequence the scalar
-      matcher runs against its LRU.  That keeps ``hits``/``misses``
-      *and* the cache's residual contents and recency order
-      byte-identical under eviction pressure, so later groups — scalar
-      or batched — observe the same cache either way.
-    """
-
-    __slots__ = (
-        "_threshold", "_cache", "_memoize", "_masks", "_scores",
-        "hits", "misses",
-    )
-
-    def __init__(self, threshold: float, cache: dict | None, memoize: int):
-        self._threshold = threshold
-        self._cache = cache
-        self._memoize = memoize
-        self._masks: dict[str, object] = {}
-        #: Batch-local score memo keyed by the canonical ``(min, max)``
-        #: string pair — the compute-once guarantee.
-        self._scores: dict[tuple[str, str], float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def touch(self, a: str, b: str) -> float:
-        """One pair occurrence, exactly as the scalar matcher runs it.
-
-        Same ``(min, max)`` cache key, same pop/reinsert LRU discipline
-        and eviction bound, same hit/miss accounting — except that a
-        miss whose pair was already computed this batch reuses the
-        memoised score instead of recomputing (scores are pure values,
-        so the result is identical).
-        """
-        key = (a, b) if a <= b else (b, a)
-        cache = self._cache
-        score = cache.pop(key, None) if cache is not None else None
-        if score is None:
-            self.misses += 1
-            score = self._scores.get(key)
-            if score is None:
-                score = self._scores[key] = self._compute(key[0], key[1])
-        else:
-            self.hits += 1
-            self._scores[key] = score
-        if self._memoize and cache is not None:
-            if len(cache) >= self._memoize:
-                try:
-                    cache.pop(next(iter(cache)), None)
-                except (StopIteration, RuntimeError):
-                    pass
-            cache[key] = score
-        return score
-
-    def prime(self, np, keys: list[tuple[str, str]]) -> None:
-        """Precompute ``_scores`` for canonical distinct pair ``keys``.
-
-        Pairs already in the shared cache reuse the cached value (a
-        non-mutating peek — the bookkeeping happens in replay); the
-        rest are computed, batching every Myers-eligible pair (shorter
-        side 1–64 chars) into one vectorized recurrence when ``np`` is
-        active and at least :data:`MYERS_MIN_LANES` lanes qualify.
-        """
-        cache = self._cache
-        scores = self._scores
-        lanes: list[tuple[tuple[str, str], str, str, int]] = []
-        for key in keys:
-            if cache is not None:
-                cached = cache.get(key)
-                if cached is not None:
-                    scores[key] = cached
-                    continue
-            a, b = key
-            la = len(a)
-            lb = len(b)
-            if la >= lb:
-                text, pattern, shorter, longest = a, b, lb, la
-            else:
-                text, pattern, shorter, longest = b, a, la, lb
-            if 1 <= shorter <= 64:
-                lanes.append((key, pattern, text, longest))
-            else:
-                scores[key] = levenshtein_similarity_bounded(
-                    a, b, self._threshold
-                )
-        if not lanes:
-            return
-        if np is None or len(lanes) < MYERS_MIN_LANES:
-            for key, _pattern, _text, _longest in lanes:
-                scores[key] = self._compute(key[0], key[1])
-            return
-        one_minus = 1.0 - self._threshold
-        budgets = [int(one_minus * longest) for _k, _p, _t, longest in lanes]
-        distances = myers_distance_batch(
-            np,
-            [pattern for _k, pattern, _t, _l in lanes],
-            [text for _k, _p, text, _l in lanes],
-            budgets,
-        )
-        longests = np.fromiter(
-            (longest for _k, _p, _t, longest in lanes),
-            dtype=np.int64, count=len(lanes),
-        )
-        budgets_arr = np.fromiter(budgets, dtype=np.int64, count=len(lanes))
-        # Same float64 arithmetic as the scalar ``1.0 - d / longest``.
-        sims = np.where(
-            distances > budgets_arr, 0.0, 1.0 - distances / longests
-        )
-        for (key, _p, _t, _l), sim in zip(lanes, sims.tolist()):
-            scores[key] = sim
-
-    def replay_keys(self, keys) -> None:
-        """Replay the scalar LRU discipline over primed ``keys`` in
-        pair order (every score must already be in ``_scores``)."""
-        cache = self._cache
-        memoize = self._memoize
-        scores = self._scores
-        for key in keys:
-            score = cache.pop(key, None)
-            if score is None:
-                self.misses += 1
-                score = scores[key]
-            else:
-                self.hits += 1
-            if memoize:
-                if len(cache) >= memoize:
-                    try:
-                        cache.pop(next(iter(cache)), None)
-                    except (StopIteration, RuntimeError):
-                        pass
-                cache[key] = score
-
-    def _compute(self, a: str, b: str) -> float:
-        # levenshtein_similarity_bounded for a != b, with the Myers
-        # dispatch case running over prepacked per-string masks.
-        la = len(a)
-        lb = len(b)
-        if la >= lb:
-            text, pattern, shorter = a, b, lb
-        else:
-            text, pattern, shorter = b, a, la
-        if 1 <= shorter <= 64:
-            longest = la if la >= lb else lb
-            max_distance = int((1.0 - self._threshold) * longest)
-            masks = self._masks.get(pattern)
-            if masks is None:
-                masks = self._masks[pattern] = myers_masks(pattern)
-            distance = myers_distance_masks(masks, text, max_distance)
-            if distance > max_distance:
-                return 0.0
-            return 1.0 - distance / longest
-        # Empty-vs-nonempty and >64-char patterns: the scalar routine
-        # already handles these cases via its own dispatch.
-        return levenshtein_similarity_bounded(a, b, self._threshold)
-
-
-def score_pair_batch(
-    texts: Sequence[str],
-    pairs,
-    threshold: float,
-    *,
-    cache: dict | None = None,
-    memoize: int = 0,
-):
-    """Score every pair of a batch; returns ``(scores, hits, misses)``.
+def score_pair_batch(texts: Sequence[str], pairs, threshold: float):
+    """Score every pair of a batch, in the spec's pair order.
 
     ``texts`` holds the group's strings (position-aligned with the
-    indices ``pairs`` yields), ``pairs`` is a :class:`TrianglePairs`/
-    :class:`CrossPairs`/:class:`SpanPairs` spec, and ``cache``/
-    ``memoize`` are the matcher's persistent score memo and its bound.
-    ``scores`` is index-aligned with the spec's pair order (a float64
-    ndarray on the numpy path, a list on the stdlib path); ``hits``/
-    ``misses`` are exactly the cache-counter increments the scalar path
-    would have recorded for the same pairs, and ``cache`` is left with
-    exactly the contents *and* recency order the scalar path would have
-    left — the LRU discipline is replayed per occurrence in pair order,
-    so eviction pressure cannot make later batches drift.
+    indices ``pairs`` yields) and ``pairs`` is a :class:`TrianglePairs`/
+    :class:`CrossPairs`/:class:`SpanPairs` spec.  Returns one bounded
+    similarity per pair — a float64 ndarray on the numpy path, a list
+    on the stdlib path.
     """
     np = _numpy
     if np is not None and pairs.count >= NUMPY_MIN_PAIRS:
-        return _score_numpy(np, texts, pairs, threshold, cache, memoize)
-    return _score_stdlib(texts, pairs, threshold, cache, memoize)
+        return _score_numpy(np, texts, pairs, threshold)
+    return _score_stdlib(texts, pairs, threshold)
 
 
 def matching_positions(scores, threshold: float) -> list[int]:
@@ -421,7 +230,7 @@ def _encode(texts: Sequence[str]) -> tuple[list[int], list[str]]:
     return codes, distinct
 
 
-def _score_numpy(np, texts, pairs, threshold, cache, memoize):
+def _score_numpy(np, texts, pairs, threshold):
     codes, distinct = _encode(texts)
     left, right = pairs.index_arrays(np)
     codes_arr = np.fromiter(codes, dtype=np.int64, count=len(codes))
@@ -440,63 +249,30 @@ def _score_numpy(np, texts, pairs, threshold, cache, memoize):
     budget = ((1.0 - threshold) * longest).astype(np.int64)
     survive = ~equal & (np.abs(la - lb) <= budget)
     if not survive.any():
-        return scores, 0, 0
+        return scores
     sa = ca[survive]
     sb = cb[survive]
-    lo = np.minimum(sa, sb)
-    hi = np.maximum(sa, sb)
-    ndistinct = len(distinct)
-    # pair_keys is in spec pair order (boolean masking preserves order),
-    # which is exactly the order the scalar matcher would have probed
-    # its cache in — the order the LRU replay below must follow.
-    pair_keys = lo * np.int64(ndistinct) + hi
-    unique_keys, inverse = np.unique(pair_keys, return_inverse=True)
-    scorer = _DistinctScorer(threshold, cache, memoize)
-    canonical: list[tuple[str, str]] = []
-    for key in unique_keys.tolist():
-        qa, qb = divmod(key, ndistinct)
-        a = distinct[qa]
-        b = distinct[qb]
-        canonical.append((a, b) if a <= b else (b, a))
-    scorer.prime(np, canonical)
-    unique_scores = np.fromiter(
-        (scorer._scores[key] for key in canonical),
-        dtype=np.float64, count=len(canonical),
+    ndistinct = np.int64(len(distinct))
+    keys, inverse = np.unique(
+        np.minimum(sa, sb) * ndistinct + np.maximum(sa, sb), return_inverse=True
     )
-    scores[survive] = unique_scores[inverse]
-    occurrences = int(pair_keys.shape[0])
-    if cache is None or (not cache and not memoize):
-        # No LRU state to maintain: the scalar path would miss on every
-        # occurrence (nothing is ever inserted), so the counters are
-        # closed-form and no replay is needed.
-        return scores, 0, occurrences
-    uncached = sum(1 for key in canonical if key not in cache)
-    if len(cache) + uncached <= memoize:
-        # No eviction can trigger during this batch (the cache can
-        # only grow by the uncached distinct pairs), so the scalar
-        # replay's outcome is provable in closed form: the first
-        # occurrence of an uncached pair misses, everything else hits,
-        # and each touched key ends up reinserted at its *last*
-        # occurrence — i.e. after all untouched entries, ordered by
-        # last occurrence in pair order.
-        _, rev_index = np.unique(pair_keys[::-1], return_index=True)
-        last_order = np.argsort(-rev_index)
-        for u in last_order.tolist():
-            key = canonical[u]
-            value = cache.pop(key, scorer._scores[key])
-            cache[key] = value
-        return scores, occurrences - uncached, uncached
-    scorer.replay_keys(canonical[u] for u in inverse.tolist())
-    return scores, scorer.hits, scorer.misses
+    lo, hi = np.divmod(keys, ndistinct)
+    unique_scores = _score_distinct(
+        np, distinct, lo.tolist(), hi.tolist(), threshold
+    )
+    scores[survive] = np.array(unique_scores, dtype=np.float64)[inverse]
+    return scores
 
 
-def _score_stdlib(texts, pairs, threshold, cache, memoize):
+def _score_stdlib(texts, pairs, threshold):
     codes, distinct = _encode(texts)
-    lengths = array("q", (len(s) for s in distinct))
-    scorer = _DistinctScorer(threshold, cache, memoize)
+    lengths = [len(s) for s in distinct]
     scores = [0.0] * pairs.count
     one_minus = 1.0 - threshold
-    touch = scorer.touch
+    # Distinct surviving (lo, hi) code pairs → their slot; each
+    # surviving position remembers its slot for the final gather.
+    slot_of: dict[tuple[int, int], int] = {}
+    survivors: list[tuple[int, int]] = []
     for k, (i, j) in enumerate(pairs.iter_pairs()):
         a = codes[i]
         b = codes[j]
@@ -513,7 +289,72 @@ def _score_stdlib(texts, pairs, threshold, cache, memoize):
             diff = lb - la
         if diff > int(one_minus * longest):
             continue  # length filter: stays 0.0
-        # touch() replays the scalar LRU discipline per occurrence and
-        # computes each distinct pair at most once (scorer._scores).
-        scores[k] = touch(distinct[a], distinct[b])
-    return scores, scorer.hits, scorer.misses
+        key = (a, b) if a < b else (b, a)
+        survivors.append((k, slot_of.setdefault(key, len(slot_of))))
+    if survivors:
+        unique_scores = _score_distinct(
+            None,
+            distinct,
+            [a for a, _b in slot_of],
+            [b for _a, b in slot_of],
+            threshold,
+        )
+        for k, slot in survivors:
+            scores[k] = unique_scores[slot]
+    return scores
+
+
+def _score_distinct(np, distinct, lo_codes, hi_codes, threshold) -> list[float]:
+    """Bounded similarity of each distinct ``(lo, hi)`` code pair.
+
+    The two strings of a pair always differ.  Pairs whose shorter side
+    has 1–64 characters are Myers lanes: batched through
+    :func:`~repro.er.similarity.myers_distance_batch` when ``np`` is
+    active and at least :data:`MYERS_MIN_LANES` lanes qualify, else run
+    one by one over pattern masks prepacked per distinct string.  The
+    rest (empty vs non-empty, >64-char patterns) take
+    :func:`~repro.er.similarity.levenshtein_similarity_bounded`'s own
+    dispatch.
+    """
+    one_minus = 1.0 - threshold
+    scores = [0.0] * len(lo_codes)
+    lanes: list[tuple[int, str, str]] = []
+    for slot, (lo, hi) in enumerate(zip(lo_codes, hi_codes)):
+        a = distinct[lo]
+        b = distinct[hi]
+        text, pattern = (a, b) if len(a) >= len(b) else (b, a)
+        if 1 <= len(pattern) <= 64:
+            lanes.append((slot, pattern, text))
+        else:
+            scores[slot] = levenshtein_similarity_bounded(a, b, threshold)
+    if not lanes:
+        return scores
+    if np is not None and len(lanes) >= MYERS_MIN_LANES:
+        count = len(lanes)
+        budgets = [int(one_minus * len(text)) for _s, _p, text in lanes]
+        distances = myers_distance_batch(
+            np,
+            [pattern for _s, pattern, _t in lanes],
+            [text for _s, _p, text in lanes],
+            budgets,
+        )
+        longests = np.fromiter(
+            (len(text) for _s, _p, text in lanes), dtype=np.int64, count=count
+        )
+        budgets_arr = np.fromiter(budgets, dtype=np.int64, count=count)
+        # Same float64 arithmetic as the scalar ``1.0 - d / longest``.
+        sims = np.where(distances > budgets_arr, 0.0, 1.0 - distances / longests)
+        for (slot, _p, _t), sim in zip(lanes, sims.tolist()):
+            scores[slot] = sim
+        return scores
+    masks_of: dict[str, object] = {}
+    for slot, pattern, text in lanes:
+        longest = len(text)
+        max_distance = int(one_minus * longest)
+        masks = masks_of.get(pattern)
+        if masks is None:
+            masks = masks_of[pattern] = myers_masks(pattern)
+        distance = myers_distance_masks(masks, text, max_distance)
+        if distance <= max_distance:
+            scores[slot] = 1.0 - distance / longest
+    return scores

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .batch_kernel import matching_positions, score_pair_batch
+from .batch_kernel import CrossPairs, matching_positions, score_pair_batch
 from .entity import Entity
 from .similarity import levenshtein_similarity_bounded
 
@@ -83,14 +83,16 @@ class Matcher:
     Subclasses implement :meth:`similarity`; :meth:`match` applies the
     threshold and records statistics.
 
-    The reduce hot loops call the matcher through the *prepared*
-    protocol: :meth:`prepare` runs once per entity per reduce group and
+    The reduce tasks call the matcher through the *prepared* protocol:
+    :meth:`prepare` runs once per entity per reduce group and
+    :meth:`match_batch` once per group, which by default calls
     :meth:`match_prepared` once per pair.  The base implementations are
     the identity (``prepare`` returns the entity, ``match_prepared``
     delegates to :meth:`match`), so custom matchers keep their exact
     per-pair behaviour; matchers with an expensive per-pair setup
-    (attribute extraction, normalisation) override both to hoist that
-    work out of the O(pairs) loop.
+    (attribute extraction, normalisation) override ``prepare`` and
+    ``match_prepared`` to hoist that work out of the O(pairs) loop, and
+    matchers with a vectorizable kernel override ``match_batch``.
     """
 
     def __init__(self) -> None:
@@ -151,13 +153,16 @@ class Matcher:
 class _PreparedEntity(NamedTuple):
     """ThresholdMatcher's per-entity preprocessing: id + interned text.
 
-    Interning the extracted attribute makes the memo-cache tuple keys
-    compare by pointer in the common case and collapses the many
-    duplicate values real blocking produces into one string object.
+    Interning collapses the many duplicate values real blocking
+    produces into one string object per reduce group.
     """
 
     qid: str
     text: str
+
+
+#: The one pair of a two-entity batch (:meth:`ThresholdMatcher.match_prepared`).
+_ONE_PAIR = CrossPairs(1, 2)
 
 
 class ThresholdMatcher(Matcher):
@@ -166,20 +171,14 @@ class ThresholdMatcher(Matcher):
     Defaults replicate Section VI: edit-distance similarity on
     ``title`` with minimal similarity 0.8.
 
-    With the default kernel the matcher takes the prepared fast path:
-    the compare attribute is extracted, stringified and interned once
-    per reduce group instead of once per pair, and verdicts for
-    repeated value pairs are memoised in an LRU keyed on the interned
-    string pair (``memoize`` entries; 0 disables).  Both paths are
-    byte-identical in matches and counters — ``prepared=False`` forces
-    the legacy per-pair path, which ``benchmarks/perf_harness.py`` uses
-    as its "before" measurement.  A custom ``similarity_fn`` or a
-    subclass override of ``similarity``/``is_match``/``match`` also
-    disables the fast path, preserving the override's semantics.
-
-    ``cache_hits``/``cache_misses`` count only the comparisons that
-    reach the cache+kernel stage; identical values (interned pointer
-    check) and pairs rejected by the length filter bypass both.
+    With the default kernel the compare attribute is extracted,
+    stringified and interned once per reduce group (:meth:`prepare`),
+    and every prepared pair is scored by the batch kernel
+    (:func:`~repro.er.batch_kernel.score_pair_batch`).  A custom
+    ``similarity_fn`` or a subclass override of
+    ``similarity``/``is_match``/``match`` bypasses the kernel: those
+    pairs go through the base per-pair protocol, preserving the
+    override's semantics.
     """
 
     def __init__(
@@ -187,28 +186,13 @@ class ThresholdMatcher(Matcher):
         attribute: str = "title",
         threshold: float = 0.8,
         similarity_fn: Callable[[str, str], float] | None = None,
-        *,
-        prepared: bool = True,
-        memoize: int = 4096,
     ):
         super().__init__()
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if memoize < 0:
-            raise ValueError(f"memoize must be >= 0, got {memoize}")
         self.attribute = attribute
         self.threshold = threshold
         self._similarity_fn = similarity_fn
-        self._prepared_enabled = prepared
-        self._memoize = memoize
-        self._cache: dict[tuple[str, str], float] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def similarity(self, e1: Entity, e2: Entity) -> float:
         a = str(e1.get(self.attribute) or "")
@@ -225,8 +209,7 @@ class ThresholdMatcher(Matcher):
     def prepare(self, entity: Entity) -> Any:
         cls = type(self)
         if (
-            not self._prepared_enabled
-            or self._similarity_fn is not None
+            self._similarity_fn is not None
             or cls.similarity is not ThresholdMatcher.similarity
             or cls.is_match is not ThresholdMatcher.is_match
             or cls.match is not Matcher.match
@@ -239,90 +222,30 @@ class ThresholdMatcher(Matcher):
     def match_prepared(self, p1: Any, p2: Any) -> MatchPair | None:
         if type(p1) is not _PreparedEntity:
             return self.match(p1, p2)
-        self.comparisons += 1
-        a = p1.text
-        b = p2.text
-        threshold = self.threshold
-        if a is b:
-            # Interning makes equal values pointer-identical — the
-            # common case in skewed blocks costs one identity check.
-            score = 1.0
-        else:
-            la = len(a)
-            lb = len(b)
-            if la >= lb:
-                longest, diff = la, la - lb
-            else:
-                longest, diff = lb, lb - la
-            if diff > int((1.0 - threshold) * longest):
-                # Length filter: the edit-distance budget is already
-                # blown, so skip both the cache and the kernel (same
-                # 0.0 the bounded kernel would return).
-                score = 0.0
-            else:
-                key = (a, b) if a <= b else (b, a)
-                cache = self._cache
-                score = cache.pop(key, None)
-                if score is None:
-                    self.cache_misses += 1
-                    score = levenshtein_similarity_bounded(a, b, threshold)
-                else:
-                    self.cache_hits += 1
-                if self._memoize:
-                    if len(cache) >= self._memoize:
-                        # Best-effort eviction of the least-recently-used
-                        # entry.  The thread backend shares this matcher
-                        # across workers, so a concurrent insert/evict may
-                        # beat us to it — cached scores are pure values,
-                        # so losing the race only costs a recompute,
-                        # never correctness.
-                        try:
-                            cache.pop(next(iter(cache)), None)
-                        except (StopIteration, RuntimeError):
-                            pass
-                    cache[key] = score
-        if score >= threshold:
-            self.matches_found += 1
-            q1 = p1.qid
-            q2 = p2.qid
-            if q2 < q1:
-                q1, q2 = q2, q1
-            return MatchPair(q1, q2, score)
-        return None
+        # A single pair is a batch of one: the kernel stays the only
+        # scoring path for prepared entities.
+        matches = self.match_batch([p1, p2], _ONE_PAIR)
+        return matches[0] if matches else None
 
     def match_batch(self, prepared: list, pairs) -> list[MatchPair]:
         """Score a whole reduce group's pairs through the batch kernel.
 
         Active only on the prepared fast path (interned
         ``_PreparedEntity`` inputs); any other input — a custom
-        similarity function, subclass overrides, ``prepared=False`` —
-        falls back to the base per-pair batching, preserving exact
-        semantics.  The kernel scores are byte-identical to
-        :meth:`match_prepared`'s (same short-circuits, same bounded
-        kernels), matches are emitted in spec pair order with the same
-        canonical id ordering, and ``comparisons``/``matches_found``
-        advance by the same totals.  ``cache_hits``/``cache_misses``
-        also advance by exactly the scalar path's increments: the batch
-        computes each distinct value pair once, then replays the scalar
-        pop/evict/reinsert LRU discipline per occurrence in spec pair
-        order, so the residual cache — contents *and* recency order —
-        is byte-identical too, and later groups see the same hit/miss
-        stream as a scalar run.
+        similarity function or subclass overrides — falls back to the
+        base per-pair batching, preserving exact semantics.  Each score
+        equals :meth:`similarity`'s for the same pair, matches are
+        emitted in spec pair order with canonical id ordering, and
+        ``comparisons``/``matches_found`` advance by the batch totals.
         """
         if pairs.count == 0:
             return []
         if not prepared or type(prepared[0]) is not _PreparedEntity:
             return super().match_batch(prepared, pairs)
-        scores, hits, misses = score_pair_batch(
-            [p.text for p in prepared],
-            pairs,
-            self.threshold,
-            cache=self._cache,
-            memoize=self._memoize,
+        scores = score_pair_batch(
+            [p.text for p in prepared], pairs, self.threshold
         )
         self.comparisons += pairs.count
-        self.cache_hits += hits
-        self.cache_misses += misses
         out = []
         pair_at = pairs.pair_at
         for k in matching_positions(scores, self.threshold):
@@ -334,15 +257,6 @@ class ThresholdMatcher(Matcher):
             out.append(MatchPair(q1, q2, float(scores[k])))
         self.matches_found += len(out)
         return out
-
-    def __getstate__(self) -> dict[str, Any]:
-        # The memo cache is a pure accelerator: never ship it to worker
-        # processes (it can hold thousands of entries, the parallel
-        # backend pickles the job once per task submission, and workers
-        # rebuild their own caches as they match).
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
 
     def __repr__(self) -> str:
         return (

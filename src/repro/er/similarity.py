@@ -11,8 +11,7 @@ Edit distance is the per-pair hot path of the whole system, so
 (shorter string ≤ 64 chars — the common ER case) or a banded DP, with
 Ukkonen-style ``max_distance`` early exits throughout; the classic
 two-row DP survives as :func:`levenshtein_distance_reference`, the
-oracle the property tests and ``benchmarks/perf_harness.py`` measure
-against.  :func:`similarity_at_least` is the boolean threshold fast
+oracle the property tests check against.  :func:`similarity_at_least` is the boolean threshold fast
 path (length filter before any DP).
 
 All functions return similarities in ``[0, 1]`` where 1 means equal.
@@ -31,8 +30,7 @@ def levenshtein_distance_reference(
     """Classic dynamic-programming edit distance with two rows.
 
     This is the O(n·m) reference implementation the bit-parallel and
-    banded kernels are verified against (and the "before" measurement
-    of ``benchmarks/perf_harness.py``).  ``max_distance`` enables early
+    banded kernels are verified against.  ``max_distance`` enables early
     exit: once every cell of a row exceeds the bound the true distance
     cannot come back under it, and ``max_distance + 1`` is returned.
     """
@@ -470,9 +468,8 @@ def levenshtein_similarity_bounded_reference(
 ) -> float:
     """:func:`levenshtein_similarity_bounded` over the reference DP kernel.
 
-    Exists so the equivalence tests and ``benchmarks/perf_harness.py``
-    can run the exact pre-optimisation hot path side by side with the
-    bit-parallel one.
+    Exists so the equivalence tests can run the exact pre-optimisation
+    scoring side by side with the bit-parallel kernels.
     """
     if not a and not b:
         return 1.0

@@ -216,6 +216,12 @@ class Listener:
         return Connection(sock)
 
     def close(self) -> None:
+        # Closing alone does not wake a thread blocked in accept();
+        # shutting the socket down first makes that accept() fail now.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected / already shut down
         self._sock.close()
 
     def __repr__(self) -> str:

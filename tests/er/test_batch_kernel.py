@@ -5,8 +5,8 @@ scalar kernels, on both the numpy and the pure-stdlib path.
 score for score on arbitrary unicode batches — including empty strings,
 strings past the 64-char Myers limit, duplicated group members, and
 thresholds at both edges — and `ThresholdMatcher.match_batch` must
-emit exactly the pairs (same order, same counters) the scalar
-`match_prepared` loop emits.
+emit exactly the pairs (same order, same counters) the per-pair
+reference matcher emits through the base `Matcher.match_batch`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from repro.er.similarity import (
     myers_distance_masks,
     myers_masks,
 )
+
+from ..test_hotpath_equivalence import reference_matcher
 
 ALPHABET = "abcdeé中文ß😀"
 THRESHOLDS = [0.0, 0.3, 0.8, 1.0]
@@ -154,7 +156,7 @@ class TestScorePairBatch:
             texts = _random_texts(rng, rng.randrange(2, 14))
             spec = TrianglePairs(len(texts))
             threshold = rng.choice(THRESHOLDS)
-            scores, _hits, _misses = score_pair_batch(texts, spec, threshold)
+            scores = score_pair_batch(texts, spec, threshold)
             for k, (i, j) in enumerate(spec.iter_pairs()):
                 expected = levenshtein_similarity_bounded(
                     texts[i], texts[j], threshold
@@ -168,7 +170,7 @@ class TestScorePairBatch:
         texts = _random_texts(rng, 12)
         threshold = 0.8
         spec = TrianglePairs(len(texts))
-        scores, _, _ = score_pair_batch(texts, spec, threshold)
+        scores = score_pair_batch(texts, spec, threshold)
         for k, (i, j) in enumerate(spec.iter_pairs()):
             a, b = texts[i], texts[j]
             longest = max(len(a), len(b))
@@ -189,7 +191,7 @@ class TestScorePairBatch:
             CrossPairs(4, 10),
             SpanPairs([(2, 0, 2), (7, 1, 6), (9, 0, 9)]),
         ):
-            scores, _, _ = score_pair_batch(texts, spec, 0.8)
+            scores = score_pair_batch(texts, spec, 0.8)
             for k, (i, j) in enumerate(spec.iter_pairs()):
                 assert float(scores[k]) == levenshtein_similarity_bounded(
                     texts[i], texts[j], 0.8
@@ -198,7 +200,7 @@ class TestScorePairBatch:
     def test_matching_positions(self, kernel_mode):
         texts = ["kettle", "kettle", "kettlex", "other"]
         spec = TrianglePairs(4)
-        scores, _, _ = score_pair_batch(texts, spec, 0.8)
+        scores = score_pair_batch(texts, spec, 0.8)
         positions = matching_positions(scores, 0.8)
         expected = [
             k
@@ -208,18 +210,40 @@ class TestScorePairBatch:
         assert positions == expected
 
     def test_empty_batch(self, kernel_mode):
-        scores, hits, misses = score_pair_batch([], TrianglePairs(0), 0.8)
-        assert len(scores) == 0 and hits == 0 and misses == 0
+        assert len(score_pair_batch([], TrianglePairs(0), 0.8)) == 0
+
+    def test_each_distinct_pair_scored_once(self, kernel_mode, monkeypatch):
+        """Duplicate-heavy batches score each distinct string pair once."""
+        calls = []
+        if kernel_mode == "numpy":
+            real = bk.myers_distance_batch
+
+            def counting(np, patterns, texts, max_distances):
+                calls.extend(zip(patterns, texts))
+                return real(np, patterns, texts, max_distances)
+
+            monkeypatch.setattr(bk, "myers_distance_batch", counting)
+        else:
+            real = bk.myers_distance_masks
+
+            def counting(masks, text, max_distance):
+                calls.append(text)
+                return real(masks, text, max_distance)
+
+            monkeypatch.setattr(bk, "myers_distance_masks", counting)
+        texts = ["kettle", "kettles", "settle"] * 4
+        scores = score_pair_batch(texts, TrianglePairs(len(texts)), 0.8)
+        # Distinct unequal pairs: {kettle, kettles}, {kettle, settle},
+        # {kettles, settle} — and nothing else reaches Myers.
+        assert len(calls) == 3
+        for k, (i, j) in enumerate(TrianglePairs(len(texts)).iter_pairs()):
+            assert float(scores[k]) == levenshtein_similarity_bounded(
+                texts[i], texts[j], 0.8
+            )
 
 
-def _scalar_oracle(matcher, prepared, spec):
-    """The scalar reduce loop: per-pair match_prepared in spec order."""
-    out = []
-    for i, j in spec.iter_pairs():
-        pair = matcher.match_prepared(prepared[i], prepared[j])
-        if pair is not None:
-            out.append(pair)
-    return out
+def _triples(pairs):
+    return [(p.id1, p.id2, p.similarity) for p in pairs]
 
 
 class TestMatchBatchEquivalence:
@@ -229,89 +253,55 @@ class TestMatchBatchEquivalence:
             for k, text in enumerate(_random_texts(rng, n))
         ]
 
-    @pytest.mark.parametrize("memoize", [4096, 0])
+    def _check(self, entities, spec, threshold=0.8, kernel=None, reference=None):
+        kernel = kernel if kernel is not None else ThresholdMatcher("title", threshold)
+        reference = reference if reference is not None else reference_matcher(threshold)
+        got = kernel.match_batch([kernel.prepare(e) for e in entities], spec)
+        expected = reference.match_batch(
+            [reference.prepare(e) for e in entities], spec
+        )
+        assert _triples(got) == _triples(expected)
+        assert (kernel.comparisons, kernel.matches_found) == (
+            reference.comparisons,
+            reference.matches_found,
+        )
+
     @pytest.mark.parametrize("seed", range(3))
-    def test_same_pairs_and_counters(self, kernel_mode, memoize, seed):
+    def test_same_pairs_and_counters(self, kernel_mode, seed):
         rng = random.Random(8000 + seed)
         for spec_factory in (
             lambda n: TrianglePairs(n),
             lambda n: CrossPairs(n // 2, n),
+            lambda n: SpanPairs([(j, j // 3, j) for j in range(1, n)]),
         ):
             entities = self._entities(rng, rng.randrange(4, 12))
-            spec = spec_factory(len(entities))
-            scalar = ThresholdMatcher("title", 0.8, memoize=memoize)
-            batched = ThresholdMatcher("title", 0.8, memoize=memoize)
-            ps = [scalar.prepare(e) for e in entities]
-            pb = [batched.prepare(e) for e in entities]
-            expected = _scalar_oracle(scalar, ps, spec)
-            got = batched.match_batch(pb, spec)
-            assert [(p.id1, p.id2, p.similarity) for p in got] == [
-                (p.id1, p.id2, p.similarity) for p in expected
-            ]
-            assert batched.comparisons == scalar.comparisons
-            assert batched.matches_found == scalar.matches_found
-            assert batched.cache_hits == scalar.cache_hits
-            assert batched.cache_misses == scalar.cache_misses
+            self._check(entities, spec_factory(len(entities)),
+                        threshold=rng.choice(THRESHOLDS))
 
-    @pytest.mark.parametrize("memoize", [1, 2, 3])
-    def test_eviction_pressure_counters_and_cache(self, kernel_mode, memoize):
-        """ISSUE 10 regression: a group with more distinct surviving
-        pairs than ``memoize`` must advance hit/miss counters *and*
-        leave the LRU cache — contents and recency order — exactly as
-        the scalar loop does, or later groups diverge."""
-        entities = [
-            Entity(f"e{k}", {"title": title})
-            for k, title in enumerate(
-                ["kettle", "kettles", "kettle", "settle", "cattle",
-                 "kettle", "kettlex"]
-            )
-        ]
-        spec = TrianglePairs(len(entities))
-        scalar = ThresholdMatcher("title", 0.8, memoize=memoize)
-        batched = ThresholdMatcher("title", 0.8, memoize=memoize)
-        ps = [scalar.prepare(e) for e in entities]
-        pb = [batched.prepare(e) for e in entities]
-        expected = _scalar_oracle(scalar, ps, spec)
-        got = batched.match_batch(pb, spec)
-        assert [(p.id1, p.id2, p.similarity) for p in got] == [
-            (p.id1, p.id2, p.similarity) for p in expected
-        ]
-        assert (batched.cache_hits, batched.cache_misses) == (
-            scalar.cache_hits,
-            scalar.cache_misses,
-        )
-        assert list(batched._cache.items()) == list(scalar._cache.items())
-
-    @pytest.mark.parametrize("memoize", [1, 2, 3, 4096])
     @pytest.mark.parametrize("seed", range(3))
-    def test_eviction_pressure_across_groups(self, kernel_mode, memoize, seed):
-        """Residual cache state must keep scalar and batch counters in
-        lockstep across a *sequence* of groups sharing one matcher."""
+    def test_counters_accumulate_across_groups(self, kernel_mode, seed):
+        """One matcher over a sequence of groups: every group's matches
+        and the running counters equal the reference matcher's."""
         rng = random.Random(9500 + seed)
-        scalar = ThresholdMatcher("title", 0.8, memoize=memoize)
-        batched = ThresholdMatcher("title", 0.8, memoize=memoize)
+        kernel = ThresholdMatcher("title", 0.8)
+        reference = reference_matcher(0.8)
         for _ in range(5):
             entities = self._entities(rng, rng.randrange(3, 9))
-            spec = TrianglePairs(len(entities))
-            ps = [scalar.prepare(e) for e in entities]
-            pb = [batched.prepare(e) for e in entities]
-            expected = _scalar_oracle(scalar, ps, spec)
-            got = batched.match_batch(pb, spec)
-            assert [(p.id1, p.id2, p.similarity) for p in got] == [
-                (p.id1, p.id2, p.similarity) for p in expected
-            ]
-            assert (
-                batched.comparisons,
-                batched.matches_found,
-                batched.cache_hits,
-                batched.cache_misses,
-            ) == (
-                scalar.comparisons,
-                scalar.matches_found,
-                scalar.cache_hits,
-                scalar.cache_misses,
-            )
-            assert list(batched._cache.items()) == list(scalar._cache.items())
+            self._check(entities, TrianglePairs(len(entities)),
+                        kernel=kernel, reference=reference)
+
+    def test_match_prepared_is_a_batch_of_one(self, kernel_mode):
+        matcher = ThresholdMatcher("title", 0.8)
+        a, b, c = (
+            matcher.prepare(Entity(i, {"title": t}))
+            for i, t in (("b", "kettle"), ("a", "kettles"), ("c", "toaster"))
+        )
+        pair = matcher.match_prepared(a, b)
+        assert (pair.id1, pair.id2, pair.similarity) == (
+            "R:a", "R:b", levenshtein_similarity_bounded("kettle", "kettles", 0.8)
+        )
+        assert matcher.match_prepared(a, c) is None
+        assert (matcher.comparisons, matcher.matches_found) == (2, 1)
 
     def test_base_matcher_batches_via_match_prepared(self):
         """Custom matchers get the identity batching: per-pair calls in

@@ -278,6 +278,18 @@ class TestShutdown:
             client.close()
             server.shutdown()
 
+    def test_idle_shutdown_is_prompt(self):
+        # Regression: closing the listener alone left the accept thread
+        # blocked in accept(), so every shutdown waited out its 10 s
+        # join timeout and leaked the thread.
+        server = ERServer(num_workers=1, token=TOKEN).start()
+        accept_thread = server._accept_thread
+        time.sleep(1.0)
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 1.0
+        assert not accept_thread.is_alive()
+
     def test_refused_connection_after_shutdown(self):
         server = ERServer(num_workers=1, token=TOKEN).start()
         host, port = server.address

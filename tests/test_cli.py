@@ -343,17 +343,11 @@ class TestColumnarInput:
 
 
 class TestBatchKernelFlag:
-    def test_no_batch_kernel_identical_output(self, tmp_path, capsys):
-        data = tmp_path / "in.csv"
-        main(["generate", "--kind", "products", "--num", "400",
-              "--seed", "11", "--output", str(data)])
-        batched = tmp_path / "m-batched.csv"
-        scalar = tmp_path / "m-scalar.csv"
-        for strategy in ("basic", "blocksplit", "pairrange"):
-            assert main(["dedup", "--input", str(data), "--strategy",
-                         strategy, "--output", str(batched)]) == 0
-            assert main(["dedup", "--input", str(data), "--strategy",
-                         strategy, "--output", str(scalar),
-                         "--no-batch-kernel"]) == 0
-            assert batched.read_text() == scalar.read_text()
-        capsys.readouterr()
+    def test_no_batch_kernel_flag_is_gone(self, tmp_path, capsys):
+        """The batched kernel is the only match path; the old opt-out
+        flag is rejected like any unknown option."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dedup", "--input", str(tmp_path / "in.csv"),
+                  "--output", str(tmp_path / "m.csv"), "--no-batch-kernel"])
+        assert excinfo.value.code == 2
+        assert "--no-batch-kernel" in capsys.readouterr().err

@@ -1,15 +1,16 @@
 """Hot-path equivalence: the optimised pipeline is byte-identical to legacy.
 
-PR 3 rebuilt the comparison hot path — bit-parallel Levenshtein kernel,
-per-group prepared matching with an LRU verdict memo, packed-int
-shuffle keys, and span-sliced pair enumeration.  None of that may be
-*observable*: for every registered strategy, every backend, every
-record-source type, and with or without a shuffle memory budget, the
-matches (ids *and* scores), all per-task outputs, and every counter
-must equal what the legacy configuration produces:
+The comparison hot path — bit-parallel Levenshtein kernels, per-group
+prepared matching scored by the batch kernel, packed-int shuffle keys,
+and span-sliced pair enumeration — must not be *observable*: for every
+registered strategy, every backend, every record-source type, and with
+or without a shuffle memory budget, the matches (ids *and* scores), all
+per-task outputs, and every counter must equal what the legacy
+configuration produces:
 
-* reference two-row DP kernel (`levenshtein_similarity_bounded_reference`),
-* per-pair attribute extraction (``prepared=False``, no memoisation),
+* reference two-row DP kernel (`levenshtein_similarity_bounded_reference`)
+  scored pair by pair through the base ``Matcher.match_batch`` (a custom
+  ``similarity_fn`` bypasses the prepared texts and the batch kernel),
 * tuple sort/group keys (``packed_keys(False)``).
 """
 
@@ -38,7 +39,7 @@ THRESHOLD = 0.8
 
 
 class _ReferenceSimilarity:
-    """Picklable stand-in for the pre-optimisation scoring function."""
+    """Picklable per-pair reference scoring (the classic DP kernel)."""
 
     def __init__(self, threshold: float):
         self.threshold = threshold
@@ -47,15 +48,14 @@ class _ReferenceSimilarity:
         return levenshtein_similarity_bounded_reference(a, b, self.threshold)
 
 
+def reference_matcher(threshold: float = THRESHOLD) -> ThresholdMatcher:
+    """The per-pair reference: base ``match_batch`` over the DP kernel."""
+    return ThresholdMatcher("title", threshold, _ReferenceSimilarity(threshold))
+
+
 def _matcher(legacy: bool) -> ThresholdMatcher:
     if legacy:
-        return ThresholdMatcher(
-            "title",
-            THRESHOLD,
-            _ReferenceSimilarity(THRESHOLD),
-            prepared=False,
-            memoize=0,
-        )
+        return reference_matcher()
     return ThresholdMatcher("title", THRESHOLD)
 
 
@@ -185,34 +185,3 @@ class TestTwoSourceMatrix:
                    entities=entities, dual=True)
         assert _fingerprint(new) == _fingerprint(old)
         assert new.matches.pair_ids
-
-
-class TestMemoisationObservability:
-    def test_memo_cache_changes_nothing(self, entities):
-        """With and without the LRU memo: identical results, fewer kernels."""
-        base = _run("blocksplit", legacy=False, entities=entities)
-        with packed_keys(True):
-            pipeline = ERPipeline(
-                "blocksplit",
-                PrefixBlocking("title"),
-                ThresholdMatcher("title", THRESHOLD, memoize=0),
-                num_map_tasks=NUM_SHARDS,
-                num_reduce_tasks=NUM_REDUCE,
-            )
-            no_memo = pipeline.run(entities)
-        assert _fingerprint(base) == _fingerprint(no_memo)
-
-    def test_cache_stats_exposed(self, entities):
-        matcher = ThresholdMatcher("title", THRESHOLD)
-        with packed_keys(True):
-            ERPipeline(
-                "blocksplit",
-                PrefixBlocking("title"),
-                matcher,
-                num_map_tasks=NUM_SHARDS,
-                num_reduce_tasks=NUM_REDUCE,
-            ).run(entities)
-        assert matcher.cache_misses > 0
-        # Identity and length-filter short-circuits bypass the cache, so
-        # cached-path comparisons are a subset of all comparisons.
-        assert 0 < matcher.cache_hits + matcher.cache_misses <= matcher.comparisons

@@ -4,6 +4,8 @@ the README quick-start works."""
 from __future__ import annotations
 
 import importlib
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,10 @@ def test_all_names_resolve(package):
 def test_version():
     import repro
 
-    assert repro.__version__
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        declared = tomllib.load(handle)["project"]["version"]
+    assert repro.__version__ == declared
 
 
 def test_readme_quickstart():
