@@ -61,8 +61,6 @@ from .core import (
     BlockDistributionMatrix,
     BlockSplitStrategy,
     DualSourceBDM,
-    ERWorkflow,
-    ERWorkflowResult,
     LoadBalancingStrategy,
     PairEnumeration,
     PairRangeSpec,
@@ -164,8 +162,6 @@ __all__ = [
     "BlockDistributionMatrix",
     "BlockSplitStrategy",
     "DualSourceBDM",
-    "ERWorkflow",
-    "ERWorkflowResult",
     "LoadBalancingStrategy",
     "PairEnumeration",
     "PairRangeSpec",

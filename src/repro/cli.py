@@ -14,8 +14,8 @@ Nine subcommands cover the library's main entry points::
 
 ``dedup``/``link`` run the real two-job workflow through
 :class:`~repro.engine.ERPipeline` — ``--backend parallel`` fans the
-map/reduce tasks out over a worker pool (``async`` over an asyncio
-loop, ``distributed`` over worker processes connected by loopback
+map/reduce tasks out over a worker pool (``async`` over a thread
+executor, ``distributed`` over worker processes connected by loopback
 sockets, with ``--task-timeout`` guarding against hung workers and
 ``--max-worker-respawns`` letting the pool heal after losses),
 ``--input-format csv-shards`` streams the input through the
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["serial", "parallel", "async", "distributed"],
                          default="serial",
                          help="execution backend (parallel = worker pool, "
-                              "async = asyncio task units, distributed = "
+                              "async = thread executor, distributed = "
                               "worker processes over sockets)")
         sub.add_argument("--workers", type=_positive_int, default=None,
                          help="pool size for --backend parallel/async "

@@ -1,8 +1,8 @@
 """Pickle-safety rules: nothing unpicklable may reach the worker wire.
 
-The distributed backend, the shared serve pool and the serve protocol
-all ship objects through ``pickle``: the worker task whitelist
-(``execute_map_task``/``execute_reduce_task``) carries jobs, matchers,
+The worker pool (behind the distributed backend and the serve daemon)
+and the serve protocol ship objects through ``pickle``: the worker task
+whitelist (``execute_map_task``/``execute_reduce_task``) carries jobs, matchers,
 blocking functions and record buckets; ``PipelineRequest``,
 ``PipelineResult`` and ``ExecutionEvent`` travel between client and
 server.  An unpicklable object in that closure surfaces as a runtime

@@ -12,7 +12,8 @@ The transport's security story rests on two invariants:
 * **The task map ships names, not code** — workers map the wire names
   ``"map"``/``"reduce"`` to the module-level functions
   ``execute_map_task``/``execute_reduce_task`` (``TASK_UNITS`` in
-  ``repro.worker``; the driver-side mirror ``_UNIT_NAMES``).
+  ``repro.worker``; the pool scheduler's reverse map ``_UNIT_NAMES``
+  in ``repro.engine.distributed``).
   ``task-whitelist`` pins both registries to exactly those whitelisted
   module-level names: a lambda, call result, attribute lookup or
   unlisted function in the map would widen what a driver can make a

@@ -10,8 +10,8 @@ backend            what it does
 =================  ======================================================
 ``serial``         deterministic in-process execution (the reference)
 ``parallel``       map/reduce tasks fan out over a process or thread pool
-``async``          the same task units as asyncio coroutines — awaitable,
-                   streamable, cancellable from an event loop
+``async``          the same task units on a thread executor, for asyncio
+                   callers of ``submit_async``/``aiter_matches``
 ``distributed``    the same task units shipped to worker *processes* over
                    loopback sockets, with heartbeats, per-task timeouts
                    and bounded requeue on worker failure

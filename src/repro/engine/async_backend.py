@@ -1,43 +1,31 @@
-"""The async backend: map/reduce task units on an asyncio event loop.
+"""The async backend: task units on a thread executor, for asyncio
+callers.
 
-Same schedulable task units, same deterministic merge order as the
-serial and parallel runtimes — but scheduled as coroutines.  Each task
-unit runs in :func:`asyncio.to_thread` (task units are synchronous
-Python), with a submission window like the parallel runtime's, and
-results are collected in task-index order, so matches, outputs and
-counters are byte-identical to the serial reference.
+The same schedulable task units and the same merge window
+(:meth:`~repro.mapreduce.runtime.LocalRuntime._run_windowed`) as the
+parallel runtime, on a thread executor of ``max_concurrency`` threads:
+matches, outputs and counters are byte-identical to the serial
+reference.
 
-Like Python threads, ``to_thread`` workers share the GIL — the point of
-this backend is not multi-core speedup but *cooperative integration*:
-an asyncio application can ``await pipeline.submit_async(...)``, stream
-matches with ``async for``, overlap I/O-bound matchers, and cancel the
-run without blocking its event loop.  The runtime spins a private loop
-per phase (``asyncio.run``) on the execution's driver thread, so it
-composes with a host application's running loop instead of fighting it.
+Threads share the GIL — the point of this backend is not multi-core
+speedup but *cooperative integration*: an asyncio application can
+``await pipeline.submit_async(...)``, stream matches with ``async
+for``, overlap I/O-bound matchers, and cancel the run without blocking
+its event loop.  Those entry points live on the pipeline and the
+execution handle; the runtime itself runs on the execution's driver
+thread and never touches the host application's loop.
 """
 
 from __future__ import annotations
 
-import asyncio
-import os
-from collections import deque
-from typing import Iterable, Sequence
-
 from ..mapreduce.dfs import DistributedFileSystem
-from ..mapreduce.job import JobConfig, MapReduceJob
-from ..mapreduce.runtime import (
-    LocalRuntime,
-    MapTaskResult,
-    ReduceTaskResult,
-    TaskCall,
-)
-from ..mapreduce.types import Partition
 from .backend import register_backend
 from .executing import ExecutingBackendBase
+from .parallel import ParallelRuntime
 
 
-class AsyncRuntime(LocalRuntime):
-    """Job executor that schedules task units as asyncio coroutines.
+class AsyncRuntime(ParallelRuntime):
+    """Job executor that runs task units on ``max_concurrency`` threads.
 
     Parameters
     ----------
@@ -51,68 +39,17 @@ class AsyncRuntime(LocalRuntime):
         *,
         max_concurrency: int | None = None,
     ):
-        super().__init__(dfs)
         if max_concurrency is not None and max_concurrency <= 0:
             raise ValueError(
                 f"max_concurrency must be positive, got {max_concurrency}"
             )
-        self.max_concurrency = (
-            max_concurrency if max_concurrency is not None else os.cpu_count() or 1
-        )
-
-    # -- scheduling ---------------------------------------------------------
-
-    def _execute_map_tasks(
-        self,
-        job: MapReduceJob,
-        config: JobConfig,
-        partitions: Sequence[Partition],
-        sink=None,
-    ) -> list[MapTaskResult]:
-        calls = self._map_calls(job, config, partitions)
-        return self._gather(calls, count=len(partitions), sink=sink)
-
-    def _execute_reduce_tasks(
-        self,
-        job: MapReduceJob,
-        config: JobConfig,
-        buckets: Sequence[list],
-        presorted: bool = False,
-        sink=None,
-    ) -> list[ReduceTaskResult]:
-        calls = self._reduce_calls(job, config, buckets, presorted)
-        return self._gather(calls, count=len(buckets), sink=sink)
-
-    def _gather(self, calls: Iterable[TaskCall], *, count: int, sink) -> list:
-        """Run the task units on a fresh event loop, collecting in
-        submission (task-index) order.
-
-        The windowed submission mirrors
-        :meth:`~repro.engine.parallel.ParallelRuntime._fan_out`: calls
-        are built lazily (spill buckets drain one per submission, task
-        lifecycle events fire at submission time) and at most
-        ``max_concurrency`` are in flight.
-        """
-        if count <= 1 or self.max_concurrency == 1:
-            return self._run_calls(calls, sink)
-        return asyncio.run(self._gather_async(calls, sink))
-
-    async def _gather_async(self, calls: Iterable[TaskCall], sink) -> list:
-        drain = sink if sink is not None else (lambda result: result)
-        results: list = []
-        pending: deque[asyncio.Task] = deque()
-        for fn, args in calls:
-            while len(pending) >= self.max_concurrency:
-                results.append(drain(await pending.popleft()))
-            pending.append(asyncio.create_task(asyncio.to_thread(fn, *args)))
-        while pending:
-            results.append(drain(await pending.popleft()))
-        return results
+        super().__init__(dfs, max_workers=max_concurrency, executor="thread")
+        self.max_concurrency = self.max_workers
 
 
 @register_backend
 class AsyncBackend(ExecutingBackendBase):
-    """Executes the workflow with :class:`AsyncRuntime` coroutines."""
+    """Executes the workflow with :class:`AsyncRuntime` threads."""
 
     name = "async"
 

@@ -3,9 +3,9 @@
 A backend receives a fully-resolved :class:`PipelineRequest` — strategy
 instance, blocking function, matcher, input partitions — and returns a
 :class:`~repro.engine.result.PipelineResult`.  How the work happens
-(in-process, on a worker pool, on an asyncio loop, or analytically via
-the planners and the cluster simulator) is entirely the backend's
-business; ``ERPipeline`` never branches on the backend kind.
+(in-process, on a thread/process pool, on worker processes, or
+analytically via the planners and the cluster simulator) is entirely
+the backend's business; ``ERPipeline`` never branches on the backend kind.
 
 The contract carries an optional **event channel**: ``execute(request,
 events)`` receives an :class:`~repro.mapreduce.events.EventChannel`

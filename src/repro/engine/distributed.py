@@ -1,28 +1,44 @@
-"""The distributed backend: task units on worker *processes* over sockets.
+"""The worker-process scheduler: task units on worker *processes*.
 
 This is the paper's deployment story made real at miniature scale: the
 whole point of BlockSplit/PairRange is that independent workers receive
 even shares of the comparison workload, and here the workers finally
 are independent OS processes rather than threads of one interpreter.
-The driver (:class:`DistributedRuntime`) listens on a loopback socket,
-spawns ``num_workers`` processes running ``python -m repro.worker``,
-and ships them the very same schedulable task units every other runtime
-executes — :func:`~repro.mapreduce.runtime.execute_map_task` /
+:class:`SharedWorkerPool` listens on a loopback socket, spawns
+``num_workers`` processes running ``python -m repro.worker``, and ships
+them the very same schedulable task units every other runtime executes
+— :func:`~repro.mapreduce.runtime.execute_map_task` /
 :func:`~repro.mapreduce.runtime.execute_reduce_task` — serialized over
 the length-prefixed framing of :mod:`repro.mapreduce.transport`.
 
-Determinism is preserved by construction:
+One scheduler, two owners:
 
-* task units are pure (no shared state; side outputs ride back on the
-  result and are applied by the driver, in task order);
-* tasks are *pulled* in submission order (so ``task-started`` events
-  and cancellation checks fire exactly as in the serial runtime);
-* results are merged and drained through the sink in **task-index
-  order**, whatever order workers finish in.
+* :class:`DistributedRuntime` (backend ``"distributed"``) starts a
+  private single-job pool at its first task and closes it with the
+  runtime;
+* the ER service (:mod:`repro.serve`) keeps one pool for the daemon's
+  lifetime and gives every submitted job a :class:`PooledRuntime` on it
+  through :class:`PooledBackend`.
 
-So matches, counters, per-task statistics and the execution-event
-stream are byte-identical to the serial backend — proven per strategy ×
+Either way a job sees the same thing.  Its task units are pulled in
+submission order by :meth:`~repro.mapreduce.runtime.LocalRuntime.
+_run_windowed` (so ``task-started`` events and cancellation checks fire
+exactly as in the serial runtime), at most ``num_workers`` of them in
+flight, and results are merged and drained through the sink in
+**task-index order**, whatever order workers finish in.  So matches,
+counters, per-task statistics and the execution-event stream are
+byte-identical to the serial backend — proven per strategy ×
 source-arity × memory budget in ``tests/engine/test_distributed.py``.
+
+Scheduling across jobs:
+
+* **Fair interleaving** — dispatch rotates round-robin over the jobs
+  that have runnable task units, so a large job cannot starve a small
+  one; with a single active job the whole pool is its.
+* **Per-job isolation** — a task that raises, or exhausts its retry
+  budget after worker losses, fails *its* job only; every other job
+  keeps running.  Closing a job drops its queued task units and
+  discards results of its in-flight ones.
 
 Fault tolerance (the part a networked backend cannot skip):
 
@@ -32,23 +48,24 @@ Fault tolerance (the part a networked backend cannot skip):
   exceeds ``task_timeout`` is killed and its task is **requeued** to a
   surviving worker — at most ``max_task_retries`` times, then the job
   fails with a clean :class:`DistributedExecutionError`;
-* a lost worker can be **respawned** — a fresh process under a fresh
-  index — bounded by the ``max_worker_respawns`` budget (default 0:
-  the pool only shrinks, the original behaviour).  Respawning restores
-  pool capacity; the requeue path above is unchanged and the respawned
-  worker is simply one more survivor to requeue onto;
+* a lost worker is **respawned** — a fresh process under a fresh
+  index — within the pool's ``max_worker_respawns`` budget; the
+  requeue path is unchanged and the respawned worker is simply one
+  more survivor.  Only when every worker is lost with no budget left
+  do the active jobs fail (:class:`WorkerPoolError`);
 * a task that *raises* is not retried (the failure is deterministic);
-  the remote exception propagates to the driver exactly like the
+  the remote exception propagates to the job exactly like the
   in-process backends propagate theirs;
 * a late result from a worker that was already declared dead is
   discarded by task id, so a requeued task can never be double-counted.
 
-``tests/engine/test_fault_injection.py`` drives all of this with real
-injected crashes and hangs (see the env hooks in :mod:`repro.worker`).
-
-The spawn/authenticate half lives in :class:`WorkerLauncher` so the
-long-lived shared pool of :mod:`repro.serve` reuses it verbatim: same
-token preamble, same environment plumbing, same hello validation.
+All scheduler state is owned by one thread.  Job channels and worker
+receiver threads talk to it only through its inbox queue, and it hands
+results back by resolving each task's :class:`~concurrent.futures.
+Future` — there are no locks to get wrong.
+``tests/engine/test_fault_injection.py`` and ``tests/serve/`` drive all
+of this with real injected crashes and hangs (see the env hooks in
+:mod:`repro.worker`).
 """
 
 from __future__ import annotations
@@ -62,6 +79,7 @@ import sys
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -82,7 +100,8 @@ from ..mapreduce.transport import (
 from .backend import register_backend
 from .executing import ExecutingBackendBase
 
-#: Task-unit functions → the names the wire protocol ships.
+#: Task-unit functions → the names the wire protocol ships (the
+#: worker's ``TASK_UNITS`` maps them back).
 _UNIT_NAMES: dict[Callable[..., Any], str] = {
     execute_map_task: "map",
     execute_reduce_task: "reduce",
@@ -90,20 +109,23 @@ _UNIT_NAMES: dict[Callable[..., Any], str] = {
 
 
 class DistributedExecutionError(RuntimeError):
-    """The distributed runtime could not finish a job: workers were
-    lost faster than tasks could be retried, a worker failed to start,
-    or a task exhausted its retry budget."""
+    """A job could not finish on worker processes: workers were lost
+    faster than tasks could be retried, a worker failed to start, or a
+    task exhausted its retry budget."""
+
+
+class WorkerPoolError(DistributedExecutionError):
+    """The worker pool itself is unusable (startup failed, every worker
+    lost with no respawn budget left, or the pool was closed)."""
 
 
 class WorkerLauncher:
     """Spawns and authenticates ``python -m repro.worker`` processes.
 
-    Owns the accept socket and the per-cluster token, and knows how to
+    Owns the accept socket and the per-pool token, and knows how to
     build the child environment (token via :data:`ENV_TOKEN`, never
     argv; ``PYTHONPATH`` extended so workers import :mod:`repro` the
-    same way the driver does).  :class:`DistributedRuntime` uses one
-    per job pool; the long-lived shared pool of :mod:`repro.serve`
-    uses one for the daemon's lifetime.
+    same way the driver does).  One per :class:`SharedWorkerPool`.
     """
 
     def __init__(self, *, heartbeat_interval: float = 0.5):
@@ -189,19 +211,22 @@ class WorkerLauncher:
 
 
 class _Task:
-    """One in-flight task unit: its wire frame plus retry bookkeeping.
+    """One submitted task unit: its wire frame, retry bookkeeping and
+    the future its job waits on.
 
-    The message is encoded once at creation — a requeue re-sends the
+    The message is encoded once at submission — a requeue re-sends the
     identical frame, so retries cannot diverge from the first attempt.
     """
 
-    __slots__ = ("task_id", "index", "unit", "frame", "attempts", "sent_at")
+    __slots__ = ("task_id", "index", "unit", "frame", "future", "attempts",
+                 "sent_at")
 
     def __init__(self, task_id: int, index: int, unit: str, frame: bytes):
         self.task_id = task_id
         self.index = index
         self.unit = unit
         self.frame = frame
+        self.future: Future = Future()
         self.attempts = 0
         self.sent_at = 0.0
 
@@ -209,8 +234,25 @@ class _Task:
         return f"{self.unit} task #{self.index}"
 
 
+class _PoolJob:
+    """Scheduler-side state of one registered job."""
+
+    __slots__ = ("job_id", "name", "pending", "closed", "error")
+
+    def __init__(self, job_id: int, name: str):
+        self.job_id = job_id
+        self.name = name
+        #: Runnable task units, in submission order (requeues go back
+        #: to the front so retry order matches the first attempt).
+        self.pending: deque[_Task] = deque()
+        self.closed = False
+        #: Why the pool failed this job (``None``: still running, or
+        #: withdrawn by its own channel).
+        self.error: BaseException | None = None
+
+
 class _WorkerHandle:
-    """Driver-side view of one worker process."""
+    """Scheduler-side view of one worker process."""
 
     __slots__ = ("index", "process", "conn", "task", "last_seen", "thread")
 
@@ -218,7 +260,8 @@ class _WorkerHandle:
         self.index = index
         self.process = process
         self.conn = conn
-        self.task: _Task | None = None
+        #: The ``(job, task)`` the worker is running, if any.
+        self.task: tuple[_PoolJob, _Task] | None = None
         self.last_seen = time.monotonic()
         self.thread: threading.Thread | None = None
 
@@ -243,13 +286,65 @@ class _WorkerHandle:
             self.process.wait()
 
 
-class DistributedRuntime(LocalRuntime):
-    """Job executor that ships task units to worker processes.
+class PoolJobChannel:
+    """One job's handle on a :class:`SharedWorkerPool`.
+
+    Created by :meth:`SharedWorkerPool.open_job`; used from the job's
+    driver thread.  ``submit`` enqueues one task unit and returns the
+    future the scheduler resolves with its result, and ``close``
+    withdraws the job — dropping queued tasks and telling the pool to
+    discard results of tasks still running on workers.
+    """
+
+    def __init__(self, pool: "SharedWorkerPool", job: _PoolJob):
+        self._pool = pool
+        self._job = job
+        self._submitted = 0
+
+    @property
+    def job_id(self) -> int:
+        return self._job.job_id
+
+    def submit(self, fn: Callable[..., Any], args: tuple) -> Future:
+        """Enqueue one task unit; the future resolves to its result.
+
+        The future raises the remote exception for a task that raised,
+        and :class:`DistributedExecutionError` / :class:`WorkerPoolError`
+        when the job or the pool failed.  A task that cannot be pickled
+        raises here, synchronously.
+        """
+        unit = _UNIT_NAMES[fn]
+        # Task ids come from the pool-wide counter (atomic under the
+        # GIL) so ids are unique across concurrent jobs and a stale
+        # reply can never be paired with another job's task.  The frame
+        # is encoded once, here in the submitting thread.
+        task_id = next(self._pool._task_ids)
+        try:
+            frame = encode_message(("task", task_id, unit, args))
+        except Exception as exc:
+            raise DistributedExecutionError(
+                "task units run in worker processes, but this "
+                f"{unit} task cannot be pickled (job, matcher and "
+                f"blocking function must all support pickle): {exc!r}"
+            ) from exc
+        task = _Task(task_id, self._submitted, unit, frame)
+        self._submitted += 1
+        self._pool._post(("submit", self._job, task))
+        return task.future
+
+    def close(self) -> None:
+        """Withdraw the job from the pool (idempotent)."""
+        self._pool._post(("close", self._job))
+
+
+class SharedWorkerPool:
+    """A pool of worker processes shared by any number of jobs.
 
     Parameters
     ----------
     num_workers:
-        Worker processes to spawn (lazily, at the first task).
+        Worker processes to spawn at :meth:`start`; also each job's
+        window (task units of one job in flight at once).
     task_timeout:
         Seconds one task may run on a worker before the worker is
         presumed stuck, killed, and the task requeued.  ``None``
@@ -257,32 +352,27 @@ class DistributedRuntime(LocalRuntime):
         is then indistinguishable from a slow one.
     max_task_retries:
         How many times one task may be *requeued* after a worker loss
-        before the job fails (so a task runs at most
+        before its job fails (so a task runs at most
         ``max_task_retries + 1`` times).
     heartbeat_interval / heartbeat_timeout:
         Workers send a liveness message every ``heartbeat_interval``
         seconds; a worker silent for ``heartbeat_timeout`` seconds is
         declared dead (its process may be frozen rather than exited).
     startup_timeout:
-        How long to wait for all spawned workers to connect back.
+        How long to wait for spawned workers to connect back.
     max_worker_respawns:
-        How many replacement workers may be spawned over the runtime's
-        lifetime when workers are lost.  The default 0 keeps the
-        original semantics (the pool only shrinks); a positive budget
-        lets the pool heal — each lost worker is replaced by a fresh
-        process under a fresh index, and the requeue path is unchanged
-        (the replacement is simply one more survivor).
+        How many replacement workers may be spawned over the pool's
+        lifetime when workers are lost; defaults to ``2 * num_workers``
+        (a long-lived pool should heal; pass 0 to only ever shrink).
 
-    The job (strategy job, matcher, blocking function, BDM) must be
-    picklable — the same requirement as the parallel backend's process
-    pool.  Matcher instance state mutated in workers stays in the
-    workers; read per-run numbers from the job counters, which always
-    ship back with the task results.
+    Jobs must be picklable — the same requirement as the parallel
+    backend's process pool.  Matcher instance state mutated in workers
+    stays in the workers; read per-run numbers from the job counters,
+    which always ship back with the task results.
     """
 
     def __init__(
         self,
-        dfs: DistributedFileSystem | None = None,
         *,
         num_workers: int = 2,
         task_timeout: float | None = None,
@@ -290,9 +380,8 @@ class DistributedRuntime(LocalRuntime):
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float | None = 15.0,
         startup_timeout: float = 60.0,
-        max_worker_respawns: int = 0,
+        max_worker_respawns: int | None = None,
     ):
-        super().__init__(dfs)
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         if task_timeout is not None and task_timeout <= 0:
@@ -309,7 +398,7 @@ class DistributedRuntime(LocalRuntime):
             raise ValueError(
                 f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
             )
-        if max_worker_respawns < 0:
+        if max_worker_respawns is not None and max_worker_respawns < 0:
             raise ValueError(
                 f"max_worker_respawns must be >= 0, got {max_worker_respawns}"
             )
@@ -319,47 +408,34 @@ class DistributedRuntime(LocalRuntime):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.startup_timeout = startup_timeout
-        self.max_worker_respawns = max_worker_respawns
-        self._respawns_left = max_worker_respawns
-        self._workers: dict[int, _WorkerHandle] = {}
+        self.max_worker_respawns = (
+            2 * num_workers if max_worker_respawns is None
+            else max_worker_respawns
+        )
+        self._respawns_left = self.max_worker_respawns
         self._launcher: WorkerLauncher | None = None
-        self._started = False
+        self._workers: dict[int, _WorkerHandle] = {}
+        self._jobs: dict[int, _PoolJob] = {}
+        self._rotation: deque[_PoolJob] = deque()
+        self._inbox: "queue.Queue[tuple]" = queue.Queue()
+        self._job_ids = itertools.count()
+        self._task_ids = itertools.count()
         #: Fresh indices for respawned workers (never reuses a dead
         #: worker's slot, so late messages cannot be misattributed).
         self._worker_indices = itertools.count(num_workers)
-        #: Receiver threads post ``(worker_index, message)`` here.
-        self._completions: "queue.Queue[tuple[int, tuple]]" = queue.Queue()
-        self._task_ids = itertools.count()
+        self._scheduler: threading.Thread | None = None
+        self._broken: BaseException | None = None
+        self._closed = False
 
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        for worker in list(self._workers.values()):
-            worker.shutdown(kill=False)
-        self._workers.clear()
-        if self._launcher is not None:
-            self._launcher.close()
-            self._launcher = None
+    # -- lifecycle -----------------------------------------------------------
 
-    def __enter__(self) -> "DistributedRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- cluster bring-up ----------------------------------------------------
-
-    def _ensure_workers(self) -> None:
-        """Spawn and authenticate the worker pool on first use.
-
-        The pool lives for the runtime's lifetime (both jobs of the
-        workflow pay startup once).  Workers lost later are replaced
-        only within the ``max_worker_respawns`` budget (default 0) —
-        past it the pool shrinks, and a pool whose workers have *all*
-        been lost fails the job cleanly instead of deadlocking.
-        """
-        if self._started:
-            return
-        self._started = True
+    def start(self) -> "SharedWorkerPool":
+        """Spawn and authenticate the workers, start the scheduler
+        (a no-op once running; a closed pool cannot be restarted)."""
+        if self._scheduler is not None:
+            return self
+        if self._closed:
+            raise WorkerPoolError("the shared worker pool is not running")
         launcher = WorkerLauncher(heartbeat_interval=self.heartbeat_interval)
         self._launcher = launcher
         processes: dict[int, subprocess.Popen] = {}
@@ -372,10 +448,8 @@ class DistributedRuntime(LocalRuntime):
                 try:
                     index, conn = launcher.accept(timeout=remaining)
                 except TransportError as exc:
-                    exits = {
-                        i: proc.poll() for i, proc in processes.items()
-                    }
-                    raise DistributedExecutionError(
+                    exits = {i: p.poll() for i, p in processes.items()}
+                    raise WorkerPoolError(
                         f"worker startup failed: {exc} "
                         f"(worker exit codes so far: {exits})"
                     ) from exc
@@ -384,12 +458,64 @@ class DistributedRuntime(LocalRuntime):
             for proc in processes.values():
                 if proc.poll() is None:
                     proc.kill()
-            self.close()
+            for worker in self._workers.values():
+                worker.shutdown(kill=True)
+            self._workers.clear()
+            launcher.close()
+            self._launcher = None
             raise
+        self._scheduler = threading.Thread(
+            target=self._run_scheduler, name="repro-worker-pool", daemon=True
+        )
+        self._scheduler.start()
+        return self
+
+    def close(self) -> None:
+        """Stop the scheduler and shut every worker down (idempotent).
+
+        Jobs still registered fail with :class:`WorkerPoolError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self._scheduler is not None:
+            self._post(("stop",))
+            self._scheduler.join(timeout=30)
+            self._scheduler = None
+        for worker in list(self._workers.values()):
+            worker.shutdown(kill=False)
+        self._workers.clear()
+        if self._launcher is not None:
+            self._launcher.close()
+            self._launcher = None
+
+    def __enter__(self) -> "SharedWorkerPool":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    @property
+    def alive_workers(self) -> int:
+        """Current pool size (scheduler-owned; read for observability)."""
+        return len(self._workers)
+
+    # -- job interface -------------------------------------------------------
+
+    def open_job(self, name: str = "job") -> PoolJobChannel:
+        """Register one job; its channel is ready for submissions."""
+        if self._scheduler is None or self._closed:
+            raise WorkerPoolError("the shared worker pool is not running")
+        job = _PoolJob(next(self._job_ids), name)
+        self._post(("open", job))
+        return PoolJobChannel(self, job)
+
+    def _post(self, message: tuple) -> None:
+        self._inbox.put(message)
 
     def _register_worker(
         self, index: int, process: subprocess.Popen, conn: Connection
-    ) -> _WorkerHandle:
+    ) -> None:
         worker = _WorkerHandle(index, process, conn)
         self._workers[index] = worker
         thread = threading.Thread(
@@ -400,36 +526,10 @@ class DistributedRuntime(LocalRuntime):
         )
         worker.thread = thread
         thread.start()
-        return worker
-
-    def _respawn_worker(self) -> _WorkerHandle | None:
-        """Replace one lost worker, if the respawn budget allows.
-
-        A failed respawn (spawn error, startup timeout) consumes budget
-        and returns ``None`` — the pool simply stays smaller, exactly
-        as if no budget had been configured.
-        """
-        if self._respawns_left <= 0 or self._launcher is None:
-            return None
-        self._respawns_left -= 1
-        index = next(self._worker_indices)
-        process: subprocess.Popen | None = None
-        try:
-            process = self._launcher.spawn(index)
-            accepted_index, conn = self._launcher.accept(
-                timeout=self.startup_timeout
-            )
-            return self._register_worker(accepted_index, process, conn)
-        except (OSError, TransportError, DistributedExecutionError):
-            # Failed respawn: reap the half-started process and run on
-            # with one fewer worker.
-            if process is not None and process.poll() is None:
-                process.kill()
-            return None
 
     def _receive_loop(self, worker: _WorkerHandle) -> None:
-        """Pump one worker's messages into the completion queue; a
-        broken stream becomes a synthetic ``died`` message."""
+        """Pump one worker's messages into the inbox; a broken stream
+        becomes a synthetic ``died`` message."""
         while True:
             try:
                 message = worker.conn.recv()
@@ -437,132 +537,114 @@ class DistributedRuntime(LocalRuntime):
             # truncated pickle, decode — means this worker is dead to
             # the scheduler, which owns retry/respawn policy.
             except Exception:  # repro-lint: disable=silent-except -- becomes a 'died' message
-                self._completions.put((worker.index, ("died",)))
+                self._post(("worker", worker.index, ("died",)))
                 return
-            self._completions.put((worker.index, message))
+            self._post(("worker", worker.index, message))
 
-    # -- scheduling ----------------------------------------------------------
+    # -- the scheduler thread ------------------------------------------------
 
-    def _run_calls(
-        self, calls: Iterable[TaskCall], sink: "Callable | None"
-    ) -> list:
-        """Distribute the task units, merging in task-index order.
-
-        This single override carries both phases of both jobs: the base
-        runtime routes ``_execute_map_tasks`` / ``_execute_reduce_tasks``
-        through here.  Calls are pulled lazily — one per idle worker —
-        so at most ``num_workers`` task payloads (reduce buckets
-        included) are materialized in flight, and the pull point is
-        where ``task-started`` events fire and cancellation is checked,
-        exactly as in every other runtime.  ``sink`` is applied to each
-        result in task-index order as the completed prefix grows.
-        """
-        self._ensure_workers()
-        drain = sink if sink is not None else (lambda result: result)
-        calls_iter = iter(calls)
-        exhausted = False
-        pulled = 0
-        completed = 0
-        next_index = 0
-        buffered: dict[int, Any] = {}
-        ordered: list = []
-        requeued: deque[_Task] = deque()
-
-        def next_task() -> _Task | None:
-            nonlocal exhausted, pulled
-            if requeued:
-                return requeued.popleft()
-            if exhausted:
-                return None
-            try:
-                fn, args = next(calls_iter)
-            except StopIteration:
-                exhausted = True
-                return None
-            unit = _UNIT_NAMES[fn]
-            task_id = next(self._task_ids)
-            task = _Task(task_id, pulled, unit,
-                         self._encode_task(task_id, unit, args))
-            pulled += 1
-            return task
-
+    def _run_scheduler(self) -> None:
         while True:
-            for worker in [w for w in self._workers.values() if w.task is None]:
-                task = next_task()
-                if task is None:
-                    break
-                self._dispatch(worker, task, requeued)
-            if exhausted and not requeued and completed == pulled:
-                break
-            if not self._workers:
-                raise DistributedExecutionError(
-                    "all workers were lost with work remaining "
-                    f"({pulled - completed} task(s) unfinished)"
-                )
-            finished = self._wait_for_completion(requeued)
-            if finished is not None:
-                task, result = finished
-                buffered[task.index] = result
-                completed += 1
-                while next_index in buffered:
-                    ordered.append(drain(buffered.pop(next_index)))
-                    next_index += 1
-        return ordered
+            try:
+                message = self._inbox.get(timeout=self._tick())
+            except queue.Empty:
+                self._reap_expired()
+                self._dispatch_ready()
+                continue
+            kind = message[0]
+            if kind == "stop":
+                self._fail_all_jobs(WorkerPoolError(
+                    "the shared worker pool was shut down"
+                ))
+                return
+            if kind == "open":
+                job = message[1]
+                self._jobs[job.job_id] = job
+            elif kind == "submit":
+                self._on_submit(message[1], message[2])
+            elif kind == "close":
+                self._on_close(message[1])
+            elif kind == "worker":
+                self._on_worker_message(message[1], message[2])
+            self._reap_expired()
+            self._dispatch_ready()
 
-    def _encode_task(self, task_id: int, unit: str, args: tuple) -> bytes:
-        try:
-            return encode_message(("task", task_id, unit, args))
-        except Exception as exc:
-            raise DistributedExecutionError(
-                "the distributed backend ships task units to worker "
-                f"processes, but this {unit} task cannot be pickled "
-                f"(job, matcher and blocking function must all support "
-                f"pickle): {exc!r}"
-            ) from exc
+    def _on_submit(self, job: _PoolJob, task: _Task) -> None:
+        if job.closed:
+            if job.error is not None:
+                task.future.set_exception(job.error)
+            return
+        if self._broken is not None:
+            task.future.set_exception(self._broken)
+            return
+        if not job.pending:
+            self._rotation.append(job)
+        job.pending.append(task)
 
-    def _dispatch(
-        self, worker: _WorkerHandle, task: _Task, requeued: "deque[_Task]"
-    ) -> None:
-        worker.task = task
+    def _on_close(self, job: _PoolJob) -> None:
+        job.closed = True
+        job.pending.clear()
+        self._jobs.pop(job.job_id, None)
+        # In-flight tasks of this job finish on their workers; their
+        # results are discarded on arrival (the job is gone) and the
+        # workers become free for other jobs.
+
+    def _on_worker_message(self, worker_index: int, message: tuple) -> None:
+        worker = self._workers.get(worker_index)
+        if worker is None:
+            return  # stale: that worker was already written off
+        worker.last_seen = time.monotonic()
+        kind = message[0]
+        if kind == "died":
+            self._fail_worker(worker, "worker process died")
+            return
+        if kind not in ("result", "error"):
+            return  # heartbeat (or unknown chatter): liveness recorded
+        assignment = worker.task
+        if assignment is None or assignment[1].task_id != message[1]:
+            return  # stale reply for a task requeued elsewhere
+        worker.task = None
+        job, task = assignment
+        if job.closed:
+            return  # the job was withdrawn: discard the result
+        if kind == "error":
+            # Deterministic failure: not retried, fails this job only.
+            task.future.set_exception(message[2])
+        else:
+            task.future.set_result(message[2])
+
+    # -- dispatch ------------------------------------------------------------
+
+    def _dispatch_ready(self) -> None:
+        for worker in [w for w in self._workers.values() if w.task is None]:
+            assignment = self._next_pending()
+            if assignment is None:
+                return
+            self._dispatch(worker, *assignment)
+
+    def _next_pending(self) -> "tuple[_PoolJob, _Task] | None":
+        """Round-robin over jobs with runnable tasks: pop one task from
+        the job at the head of the rotation, then rotate it to the
+        back — fair interleaving across however many jobs are active."""
+        while self._rotation:
+            job = self._rotation.popleft()
+            if job.closed or not job.pending:
+                continue
+            task = job.pending.popleft()
+            if job.pending:
+                self._rotation.append(job)
+            return job, task
+        return None
+
+    def _dispatch(self, worker: _WorkerHandle, job: _PoolJob, task: _Task) -> None:
+        worker.task = (job, task)
         task.sent_at = time.monotonic()
         try:
             worker.conn.send_bytes(task.frame)
         except TransportError:
-            self._fail_worker(worker, "connection failed at dispatch", requeued)
+            self._fail_worker(worker, "connection failed at dispatch")
 
-    def _wait_for_completion(
-        self, requeued: "deque[_Task]"
-    ) -> "tuple[_Task, Any] | None":
-        """Handle one scheduling event; a finished task or ``None``.
-
-        Raises the remote exception for a failed task (deterministic
-        failures are not retried) and :class:`DistributedExecutionError`
-        when a loss exhausts the retry budget or the pool.
-        """
-        self._reap_expired(requeued)
-        try:
-            worker_index, message = self._completions.get(
-                timeout=self._tick()
-            )
-        except queue.Empty:
-            return None
-        worker = self._workers.get(worker_index)
-        if worker is None:
-            return None  # stale: that worker was already written off
-        worker.last_seen = time.monotonic()
-        kind = message[0]
-        if kind == "died":
-            self._fail_worker(worker, "worker process died", requeued)
-            return None
-        if kind in ("result", "error"):
-            task = worker.task
-            if task is None or task.task_id != message[1]:
-                return None  # stale reply for a task requeued elsewhere
-            worker.task = None
-            if kind == "error":
-                raise message[2]
-            return task, message[2]
-        return None  # heartbeat (or unknown chatter): liveness recorded
+    # -- failure handling ----------------------------------------------------
 
     def _tick(self) -> float | None:
         """How long the scheduler may block before a deadline needs
@@ -572,23 +654,23 @@ class DistributedRuntime(LocalRuntime):
             if self.heartbeat_timeout is not None:
                 deadlines.append(worker.last_seen + self.heartbeat_timeout)
             if self.task_timeout is not None and worker.task is not None:
-                deadlines.append(worker.task.sent_at + self.task_timeout)
+                deadlines.append(worker.task[1].sent_at + self.task_timeout)
         if not deadlines:
             return None
         return max(0.01, min(deadlines) - time.monotonic())
 
-    def _reap_expired(self, requeued: "deque[_Task]") -> None:
+    def _reap_expired(self) -> None:
         now = time.monotonic()
         expired: list[tuple[_WorkerHandle, str]] = []
         for worker in self._workers.values():
             if (
                 self.task_timeout is not None
                 and worker.task is not None
-                and now - worker.task.sent_at > self.task_timeout
+                and now - worker.task[1].sent_at > self.task_timeout
             ):
                 expired.append((
                     worker,
-                    f"{worker.task.describe()} exceeded "
+                    f"{worker.task[1].describe()} exceeded "
                     f"task_timeout={self.task_timeout}s",
                 ))
             elif (
@@ -600,40 +682,189 @@ class DistributedRuntime(LocalRuntime):
                     f"no heartbeat for {self.heartbeat_timeout}s",
                 ))
         for worker, reason in expired:
-            self._fail_worker(worker, reason, requeued)
+            self._fail_worker(worker, reason)
 
-    def _fail_worker(
-        self, worker: _WorkerHandle, reason: str, requeued: "deque[_Task]"
-    ) -> None:
-        """Write a worker off: kill it, respawn within budget, requeue
-        its task (bounded).
-
-        Raising here fails the whole job — cleanup happens in
-        :meth:`close` via the backend's ``finally``.
-        """
+    def _fail_worker(self, worker: _WorkerHandle, reason: str) -> None:
+        """Write a worker off: kill, respawn within budget, requeue its
+        task (bounded) — failing only the task's own job on exhaustion,
+        and all jobs only when the pool itself is gone."""
         self._workers.pop(worker.index, None)
-        task = worker.task
+        assignment = worker.task
         worker.task = None
         worker.shutdown(kill=True)
         # Heal the pool before deciding the task's fate: a successful
         # respawn is one more survivor for the unchanged requeue path.
         self._respawn_worker()
-        if task is None:
-            return
-        task.attempts += 1
-        if task.attempts > self.max_task_retries:
-            raise DistributedExecutionError(
-                f"{task.describe()} failed {task.attempts} time(s) and "
-                f"exhausted its retry budget "
-                f"(max_task_retries={self.max_task_retries}); "
-                f"last failure: worker {worker.index}: {reason}"
-            )
+        if assignment is not None:
+            job, task = assignment
+            if not job.closed:
+                task.attempts += 1
+                if task.attempts > self.max_task_retries:
+                    error = DistributedExecutionError(
+                        f"{task.describe()} failed {task.attempts} time(s) "
+                        f"and exhausted its retry budget "
+                        f"(max_task_retries={self.max_task_retries}); "
+                        f"last failure: worker {worker.index}: {reason}"
+                    )
+                    task.future.set_exception(error)
+                    self._fail_job(job, error)
+                else:
+                    job.pending.appendleft(task)
+                    if job not in self._rotation:
+                        self._rotation.append(job)
         if not self._workers:
-            raise DistributedExecutionError(
-                f"worker {worker.index} was lost ({reason}) and no "
-                f"workers survive to retry {task.describe()}"
+            self._broken = WorkerPoolError(
+                f"all workers were lost (last: worker {worker.index}: "
+                f"{reason}) and the respawn budget "
+                f"(max_worker_respawns={self.max_worker_respawns}) "
+                f"is exhausted"
             )
-        requeued.append(task)
+            self._fail_all_jobs(self._broken)
+
+    def _respawn_worker(self) -> None:
+        """Replace one lost worker, if the respawn budget allows.
+
+        A failed respawn (spawn error, startup timeout) consumes budget
+        — the pool simply stays smaller.
+        """
+        if self._respawns_left <= 0 or self._launcher is None:
+            return
+        self._respawns_left -= 1
+        index = next(self._worker_indices)
+        process: subprocess.Popen | None = None
+        try:
+            process = self._launcher.spawn(index)
+            accepted_index, conn = self._launcher.accept(
+                timeout=self.startup_timeout
+            )
+            self._register_worker(accepted_index, process, conn)
+        except (OSError, TransportError, DistributedExecutionError):
+            # Failed respawn: reap the half-started process; the pool
+            # keeps running with one fewer worker.
+            if process is not None and process.poll() is None:
+                process.kill()
+
+    def _fail_job(self, job: _PoolJob, error: BaseException) -> None:
+        """Fail every unresolved future of ``job`` and withdraw it."""
+        job.error = error
+        for task in job.pending:
+            task.future.set_exception(error)
+        for worker in self._workers.values():
+            if worker.task is not None and worker.task[0] is job:
+                worker.task[1].future.set_exception(error)
+        self._on_close(job)
+
+    def _fail_all_jobs(self, error: BaseException) -> None:
+        for job in list(self._jobs.values()):
+            self._fail_job(job, error)
+
+    def __repr__(self) -> str:
+        return (
+            f"SharedWorkerPool(num_workers={self.num_workers}, "
+            f"alive={self.alive_workers}, jobs={len(self._jobs)})"
+        )
+
+
+class PooledRuntime(LocalRuntime):
+    """A job executor whose task units run on a :class:`SharedWorkerPool`.
+
+    Each phase opens one job channel on the pool and runs the phase's
+    task units through :meth:`~repro.mapreduce.runtime.LocalRuntime.
+    _run_windowed` with a window of ``pool.num_workers``.  What order
+    the *pool* runs them in, interleaved with other jobs, is invisible
+    to the result.  The runtime neither starts nor closes the pool;
+    that is the owner's job (the serve daemon, or
+    :class:`DistributedRuntime` for its private pool).
+    """
+
+    def __init__(self, pool: SharedWorkerPool, *, name: str = "job"):
+        super().__init__()
+        self._pool = pool
+        self._name = name
+
+    def _run_calls(
+        self, calls: Iterable[TaskCall], sink: "Callable | None"
+    ) -> list:
+        channel = self._pool.open_job(self._name)
+        try:
+            return self._run_windowed(
+                calls, sink, self._pool.num_workers, channel.submit
+            )
+        finally:
+            # Normal completion: everything was drained, close is a
+            # cheap unregister.  On error/cancel: queued tasks are
+            # dropped and in-flight results discarded by the pool.
+            channel.close()
+
+
+class DistributedRuntime(PooledRuntime):
+    """A :class:`PooledRuntime` on a private single-job pool.
+
+    The pool is started — its workers spawned and authenticated — at
+    the first task, lives for the runtime's lifetime (both jobs of the
+    workflow pay startup once) and is shut down by :meth:`close`.  The
+    parameters are :class:`SharedWorkerPool`'s, except that
+    ``max_worker_respawns`` defaults to 0: a lost worker is not
+    replaced and the pool only shrinks, unless a budget is given.
+    """
+
+    def __init__(
+        self,
+        dfs: DistributedFileSystem | None = None,
+        *,
+        num_workers: int = 2,
+        task_timeout: float | None = None,
+        max_task_retries: int = 2,
+        heartbeat_interval: float = 0.5,
+        heartbeat_timeout: float | None = 15.0,
+        startup_timeout: float = 60.0,
+        max_worker_respawns: int = 0,
+    ):
+        pool = SharedWorkerPool(
+            num_workers=num_workers,
+            task_timeout=task_timeout,
+            max_task_retries=max_task_retries,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            startup_timeout=startup_timeout,
+            max_worker_respawns=max_worker_respawns,
+        )
+        super().__init__(pool, name="distributed")
+        if dfs is not None:
+            self.dfs = dfs
+
+    def close(self) -> None:
+        """Shut the private pool down (idempotent)."""
+        self._pool.close()
+
+    def _run_calls(
+        self, calls: Iterable[TaskCall], sink: "Callable | None"
+    ) -> list:
+        self._pool.start()
+        return super()._run_calls(calls, sink)
+
+
+class PooledBackend(ExecutingBackendBase):
+    """Executes pipeline requests on a shared pool it does **not** own.
+
+    This is the server's execution backend: every submitted job gets a
+    fresh :class:`PooledRuntime` (fresh per-job DFS, exactly like every
+    other backend), all multiplexed over the one long-lived pool.  Not
+    in the backend registry — it only makes sense wired to a running
+    :class:`SharedWorkerPool`.
+    """
+
+    name = "serve-pool"
+
+    def __init__(self, pool: SharedWorkerPool, *, job_name: str = "job"):
+        self._pool = pool
+        self.job_name = job_name
+
+    def make_runtime(self) -> PooledRuntime:
+        return PooledRuntime(self._pool, name=self.job_name)
+
+    def __repr__(self) -> str:
+        return f"PooledBackend(pool={self._pool!r})"
 
 
 @register_backend

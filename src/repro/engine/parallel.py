@@ -3,12 +3,16 @@
 The shuffle stays in the driver (it is cheap and must see all map
 output), but the task units — :func:`~repro.mapreduce.runtime.
 execute_map_task` and :func:`~repro.mapreduce.runtime.
-execute_reduce_task` — fan out over a ``concurrent.futures`` pool.
-Results are collected in task-index order, so the merged
-:class:`~repro.mapreduce.runtime.JobResult` (outputs, counters,
-side files) is identical to the serial runtime's, just faster:
+execute_reduce_task` — fan out over a ``concurrent.futures`` pool
+through :meth:`~repro.mapreduce.runtime.LocalRuntime._run_windowed`:
+at most ``max_workers`` units in flight, the next one pulled as soon
+as any finishes, results merged in task-index order.  The merged
+:class:`~repro.mapreduce.runtime.JobResult` (outputs, counters, side
+files) is therefore identical to the serial runtime's, just faster:
 pair comparison dominates the runtime and parallelises across reduce
-tasks, which is precisely the premise of the paper.
+tasks, which is precisely the premise of the paper.  Finished results
+wait in the driver until every lower-indexed task has finished too,
+so one slow task can hold back the drain of the results behind it.
 
 Executor choice:
 
@@ -29,14 +33,17 @@ from __future__ import annotations
 
 import os
 import pickle
-from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Sequence
+from concurrent.futures import (
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
+from typing import Any, Callable, Iterable
 
 from ..mapreduce.dfs import DistributedFileSystem
-from ..mapreduce.job import JobConfig, MapReduceJob
-from ..mapreduce.runtime import LocalRuntime, MapTaskResult, ReduceTaskResult
-from ..mapreduce.types import Partition
+from ..mapreduce.job import MapReduceJob
+from ..mapreduce.runtime import LocalRuntime, TaskCall
 from .backend import register_backend
 from .executing import ExecutingBackendBase
 
@@ -81,66 +88,19 @@ class ParallelRuntime(LocalRuntime):
             pool.shutdown(wait=True)
         self._pools.clear()
 
-    def __enter__(self) -> "ParallelRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- scheduling ---------------------------------------------------------
 
-    def _execute_map_tasks(
-        self,
-        job: MapReduceJob,
-        config: JobConfig,
-        partitions: Sequence[Partition],
-        sink=None,
-    ) -> list[MapTaskResult]:
-        # _map_calls is the same lazily-evaluated unit stream the serial
-        # runtime walks — pulling a call at submission time emits the
-        # task-started event and checks cancellation.
-        calls = self._map_calls(job, config, partitions)
-        return self._fan_out(job, calls, count=len(partitions), sink=sink)
+    def _run_calls(
+        self, calls: Iterable[TaskCall], sink: "Callable | None"
+    ) -> list:
+        if self.max_workers == 1:
+            return super()._run_calls(calls, sink)
+        return self._run_windowed(calls, sink, self.max_workers, self._submit)
 
-    def _execute_reduce_tasks(
-        self,
-        job: MapReduceJob,
-        config: JobConfig,
-        buckets: Sequence[list],
-        presorted: bool = False,
-        sink=None,
-    ) -> list[ReduceTaskResult]:
-        # Buckets are fetched lazily, one per submission: under a memory
-        # budget they are spill-file views (ExternalShuffle.buckets()),
-        # and windowed submission keeps at most ~max_workers of them
-        # re-materialized in the driver at a time.
-        calls = self._reduce_calls(job, config, buckets, presorted)
-        return self._fan_out(job, calls, count=len(buckets), sink=sink)
-
-    def _fan_out(self, job: MapReduceJob, calls, *, count: int, sink=None) -> list:
-        """Run the task units, collecting in submission (task-index)
-        order: determinism does not depend on completion order.
-
-        ``calls`` may be a lazy iterable; arguments are only built at
-        submission time, and at most ``max_workers`` submissions are in
-        flight — so neither task inputs (reduce buckets) nor uncollected
-        results accumulate unboundedly in the driver.  ``sink`` is
-        applied to each result as the driver obtains it — the external
-        shuffle drains map outputs that way.
-        """
-        drain = sink if sink is not None else (lambda result: result)
-        if count == 1 or self.max_workers == 1:
-            return [drain(fn(*args)) for fn, args in calls]
-        pool = self._pool_for(job)
-        results: list = []
-        pending: deque = deque()
-        for fn, args in calls:
-            while len(pending) >= self.max_workers:
-                results.append(drain(pending.popleft().result()))
-            pending.append(pool.submit(fn, *args))
-        while pending:
-            results.append(drain(pending.popleft().result()))
-        return results
+    def _submit(self, fn: Callable[..., Any], args: tuple) -> Future:
+        # Both task units take the job as their first argument; it
+        # picks the pool kind ("auto" resolves per job).
+        return self._pool_for(args[0]).submit(fn, *args)
 
     def _pool_for(self, job: MapReduceJob) -> Executor:
         """The pool matching the job's executor kind.

@@ -11,10 +11,11 @@ Task execution is factored into self-contained, schedulable units —
 :func:`execute_map_task` and :func:`execute_reduce_task` — that take
 only picklable arguments and return their results (including side
 outputs) instead of mutating shared state.  :class:`LocalRuntime` runs
-them in task-index order in-process; the engine package's parallel and
-async runtimes ship the same units to worker pools / an asyncio loop.
-Either way the merged :class:`JobResult` is byte-for-byte identical
-because results are always combined in task-index order.
+them in task-index order in-process; the engine package's runtimes
+ship the same units to thread/process pools or worker processes through
+one merge window, :meth:`LocalRuntime._run_windowed`.  Either way the
+merged :class:`JobResult` is byte-for-byte identical because results
+are always combined in task-index order.
 
 Runtimes are also *observable*: attach an
 :class:`~repro.mapreduce.events.EventChannel` to :attr:`LocalRuntime.
@@ -27,6 +28,7 @@ are built entirely on this channel.
 
 from __future__ import annotations
 
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -275,6 +277,12 @@ class LocalRuntime:
     def close(self) -> None:
         """Release scheduling resources (no-op for in-process execution)."""
 
+    def __enter__(self) -> "LocalRuntime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- public API --------------------------------------------------------
 
     def run(
@@ -457,7 +465,7 @@ class LocalRuntime:
 
         return sink
 
-    # -- scheduling (overridden by the parallel/async runtimes) -------------
+    # -- scheduling (runtimes that ship units elsewhere override _run_calls)
 
     def _map_calls(
         self,
@@ -526,6 +534,48 @@ class LocalRuntime:
             result = fn(*args)
             results.append(sink(result) if sink is not None else result)
         return results
+
+    def _run_windowed(
+        self,
+        calls: Iterable[TaskCall],
+        sink: "Callable | None",
+        window: int,
+        submit: "Callable[[Callable[..., Any], tuple], Future]",
+    ) -> list:
+        """Run task units through ``submit`` — the one merge window of
+        every runtime that executes them off the driver thread.
+
+        ``submit(fn, args)`` starts one unit and returns its
+        :class:`~concurrent.futures.Future`.  Calls are pulled lazily,
+        in task-index order, so the pull stays the point where
+        ``task-started`` fires and cancellation is checked, and task
+        inputs (spill buckets under a memory budget) are materialized
+        one pull at a time.  At most ``window`` units are in flight; the next call is pulled as soon
+        as *any* of them finishes, so one slow task does not hold back
+        the rest of the window.  Results are merged by task index and
+        drained through ``sink`` as the completed prefix grows, so the
+        output never depends on completion order.  A failed unit's
+        exception propagates as soon as its future is collected.
+        """
+        drain = sink if sink is not None else (lambda result: result)
+        calls_iter = enumerate(calls)
+        in_flight: dict[Future, int] = {}
+        finished: dict[int, Any] = {}
+        ordered: list = []
+        while True:
+            while len(in_flight) < window:
+                call = next(calls_iter, None)
+                if call is None:
+                    break
+                index, (fn, args) = call
+                in_flight[submit(fn, args)] = index
+            if not in_flight:
+                return ordered
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=in_flight.__getitem__):
+                finished[in_flight.pop(future)] = future.result()
+            while len(ordered) in finished:
+                ordered.append(drain(finished.pop(len(ordered))))
 
     # -- side outputs -------------------------------------------------------
 

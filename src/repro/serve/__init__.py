@@ -34,7 +34,7 @@ from .client import (
     ServeConnectionError,
     SubmissionRejected,
 )
-from .pool import (
+from ..engine.distributed import (
     PooledBackend,
     PooledRuntime,
     PoolJobChannel,

@@ -16,6 +16,7 @@ import signal
 import sys
 import threading
 
+from ..cli import _positive_float
 from .server import ERServer
 
 
@@ -34,7 +35,7 @@ def add_server_arguments(parser: argparse.ArgumentParser) -> None:
         help="front-end port (default 0 = ephemeral; printed at startup)",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="per-task timeout before a worker is presumed stuck",
     )
     parser.add_argument(

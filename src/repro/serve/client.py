@@ -267,7 +267,9 @@ class ServeClient:
         #: Server-reported session info (session_id, num_workers, …).
         self.server_info: dict[str, Any] = dict(welcome[1])
         self._receiver = threading.Thread(
-            target=self._receive_loop, name="repro-serve-client", daemon=True
+            target=self._read_server_messages,
+            name="repro-serve-client",
+            daemon=True,
         )
         self._receiver.start()
 
@@ -384,7 +386,7 @@ class ServeClient:
 
     # -- the receiver thread -------------------------------------------------
 
-    def _receive_loop(self) -> None:
+    def _read_server_messages(self) -> None:
         while True:
             try:
                 message = self._conn.recv()

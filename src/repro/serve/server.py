@@ -1,13 +1,13 @@
 """The ER service daemon: one worker pool, many concurrent jobs.
 
 :class:`ERServer` is the paper's driver turned into a long-running
-service.  It owns one :class:`~repro.serve.pool.SharedWorkerPool`
+service.  It owns one :class:`~repro.engine.distributed.SharedWorkerPool`
 (startup paid once, healed on worker loss) and a TCP front end speaking
 the protocol of :mod:`repro.serve.protocol`: any number of clients
 connect, authenticate, and submit :class:`~repro.engine.backend.
 PipelineRequest`\\ s; every submission becomes a server-side
 :class:`~repro.engine.execution.PipelineExecution` on a
-:class:`~repro.serve.pool.PooledBackend`, so all active jobs multiplex
+:class:`~repro.engine.distributed.PooledBackend`, so all active jobs multiplex
 their task units over the one pool with fair scheduling — and each
 client still gets the full execution surface remotely: ordered events
 (streamed matches included), progress, cooperative cancel, and the
@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any
 
 from ..engine.backend import DeltaSpec, PipelineRequest
+from ..engine.distributed import PooledBackend, SharedWorkerPool
 from ..engine.execution import PipelineExecution
 from ..mapreduce.events import ExecutionEvent
 from ..mapreduce.transport import (
@@ -50,7 +51,6 @@ from ..mapreduce.transport import (
     Listener,
     TransportError,
 )
-from .pool import SharedWorkerPool
 from .protocol import TOKEN_BYTES, encode_token, service_token, wire_event
 
 
@@ -395,8 +395,6 @@ class ERServer:
                 f"expected a PipelineRequest, got {type(request).__name__}",
             ))
             return
-        from .pool import PooledBackend  # local: avoid cycle at import
-
         job_id = next(self._job_ids)
         job = _ServedJob(
             job_id=job_id,
@@ -553,7 +551,6 @@ class ERServer:
         from ..engine.incremental import CorpusState
         from ..engine.persistence import STATE_FILE, load_state, save_state
         from ..mapreduce.transport import shippable_exception
-        from .pool import PooledBackend
 
         if self.state_root is None or job.state_name is None:
             raise RuntimeError(

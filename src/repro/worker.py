@@ -1,8 +1,9 @@
-"""The distributed backend's worker process (``python -m repro.worker``).
+"""The worker process of the shared pool (``python -m repro.worker``).
 
 A worker is the remote half of
-:class:`~repro.engine.distributed.DistributedRuntime`: it connects back
-to the driver's loopback socket, authenticates with the per-cluster
+:class:`~repro.engine.distributed.SharedWorkerPool` — the one scheduler
+behind both the distributed backend and the serve daemon: it connects
+back to the pool's loopback socket, authenticates with the per-pool
 token, and then loops — receive one task message, run the named task
 unit (:func:`~repro.mapreduce.runtime.execute_map_task` or
 :func:`~repro.mapreduce.runtime.execute_reduce_task`), send the result

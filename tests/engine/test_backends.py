@@ -3,17 +3,26 @@
 The parallel runtime ships the same task units to a pool and merges in
 task-index order, so for every strategy — one- and two-source — the
 matches, per-task outputs, and every counter must be identical to the
-serial reference, and repeated runs must be deterministic.
+serial reference, and repeated runs must be deterministic.  The shared
+merge window must also keep pulling tasks past a slow one.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.datasets.generators import generate_products
 from repro.engine import ERPipeline, ParallelBackend, SerialBackend
+from repro.engine.async_backend import AsyncRuntime
+from repro.engine.parallel import ParallelRuntime
 from repro.er.blocking import PrefixBlocking
 from repro.er.matching import ThresholdMatcher
+from repro.mapreduce.events import EventChannel, EventKind
+from repro.mapreduce.job import LambdaJob
+from repro.mapreduce.runtime import LocalRuntime
+from repro.mapreduce.types import make_partitions
 
 from ..conftest import random_keyed_entities
 
@@ -147,3 +156,69 @@ class TestBackendSelection:
             .backend
             == "parallel"
         )
+
+
+def _slow_first_task_job(gate):
+    """A job whose map task 0 blocks until ``gate`` is set (bounded)."""
+
+    def map_fn(key, value, emit, ctx):
+        if ctx.partition_index == 0:
+            gate.wait(timeout=30)
+        emit(value, 1)
+
+    def reduce_fn(key, values, emit, ctx):
+        emit(key, sum(values))
+
+    return LambdaJob(map_fn, reduce_fn, name="slow-first")
+
+
+class TestWindowPolicy:
+    """The shared merge window pulls the next task as soon as *any*
+    in-flight task finishes, not only when the oldest one does."""
+
+    @pytest.mark.parametrize(
+        "make_runtime",
+        [
+            lambda: ParallelRuntime(max_workers=2, executor="thread"),
+            lambda: AsyncRuntime(max_concurrency=2),
+        ],
+        ids=["parallel", "async"],
+    )
+    def test_slow_task_does_not_block_the_window(self, make_runtime):
+        gate = threading.Event()
+        last_pulled = threading.Event()
+
+        def on_event(event):
+            if event.kind == EventKind.TASK_STARTED and event.phase == "map":
+                if event.task_index == 3:
+                    last_pulled.set()
+
+        values = ["a", "b", "c", "a"]
+        partitions = make_partitions(values, 4)
+        outcome: dict = {}
+
+        def run():
+            runtime = make_runtime()
+            runtime.events = EventChannel([on_event])
+            try:
+                outcome["result"] = runtime.run(
+                    _slow_first_task_job(gate), partitions, 2
+                )
+            finally:
+                runtime.close()
+
+        driver = threading.Thread(target=run)
+        driver.start()
+        try:
+            # With task 0 blocked, task 3 is pulled only if tasks 1 and
+            # 2 each freed a window slot as soon as they finished.
+            pulled_while_blocked = last_pulled.wait(timeout=10)
+        finally:
+            gate.set()
+            driver.join(timeout=60)
+        assert not driver.is_alive()
+        assert pulled_while_blocked
+        reference = LocalRuntime().run(
+            _slow_first_task_job(gate), partitions, 2
+        )
+        assert outcome["result"].output == reference.output

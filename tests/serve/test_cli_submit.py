@@ -97,3 +97,18 @@ class TestSubmit:
                      "--output", str(tmp_path / "m.csv")])
         assert code == 2
         assert "handshake" in capsys.readouterr().err
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_task_timeout_is_rejected(self, value, capsys):
+        from repro.serve.__main__ import main as serve_main
+
+        with pytest.raises(SystemExit) as info:
+            serve_main(["--task-timeout", value])
+        assert info.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_server_rejects_non_positive_task_timeout(self):
+        with pytest.raises(ValueError, match="task_timeout"):
+            ERServer(task_timeout=-5)

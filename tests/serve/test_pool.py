@@ -15,12 +15,8 @@ from repro.datasets.generators import generate_products
 from repro.engine import ERPipeline
 from repro.er.blocking import PrefixBlocking
 from repro.er.matching import ThresholdMatcher
-from repro.serve.pool import (
-    PooledBackend,
-    SharedWorkerPool,
-    WorkerPoolError,
-    _PoolJob,
-)
+from repro.engine.distributed import _PoolJob
+from repro.serve import PooledBackend, SharedWorkerPool, WorkerPoolError
 
 from .matchers import ExplodingMatcher
 
@@ -154,6 +150,17 @@ class TestLifecycle:
         pool.close()
         pool.close()
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            SharedWorkerPool(num_workers=0)
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("num_workers", 0),
+            ("task_timeout", 0),
+            ("max_task_retries", -1),
+            ("heartbeat_interval", 0),
+            ("heartbeat_timeout", 0),
+            ("max_worker_respawns", -1),
+        ],
+    )
+    def test_invalid_option_rejected(self, option, value):
+        with pytest.raises(ValueError, match=option):
+            SharedWorkerPool(**{option: value})

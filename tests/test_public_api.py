@@ -38,16 +38,16 @@ def test_version():
 
 
 def test_readme_quickstart():
-    from repro import ERWorkflow, PrefixBlocking, generate_products
+    from repro import ERPipeline, PrefixBlocking, generate_products
 
     entities = generate_products(400, seed=1)
-    workflow = ERWorkflow(
+    pipeline = ERPipeline(
         "blocksplit",
         PrefixBlocking("title"),
         num_map_tasks=4,
         num_reduce_tasks=8,
     )
-    result = workflow.run(entities)
+    result = pipeline.run(entities)
     assert len(result.matches) > 0
 
 
