@@ -22,7 +22,6 @@ from ..cluster.costmodel import CostModel
 from ..cluster.simulation import ClusterSpec
 from ..core.bdm import BlockDistributionMatrix
 from ..core.planning import StrategyPlan
-from ..core.bdm import analytic_bdm_from_block_sizes
 from ..core.two_source import DualSourceBDM
 from ..engine.result import PipelineResult
 from ..engine.simulate import simulate_strategy

@@ -86,11 +86,70 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
+
+
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
+def _add_blocking_arguments(sub: argparse.ArgumentParser) -> None:
+    """Blocking and task-count flags (match pipelines and recommend)."""
+    sub.add_argument("--attribute", default="title")
+    sub.add_argument("--prefix-length", type=_positive_int, default=3)
+    sub.add_argument("-m", "--map-tasks", type=_positive_int, default=4)
+    sub.add_argument("-r", "--reduce-tasks", type=_positive_int, default=8)
+
+
+def _add_pipeline_arguments(sub: argparse.ArgumentParser) -> None:
+    """The match-pipeline flags of dedup, link, ingest and submit."""
+    sub.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
+                     default="blocksplit")
+    _add_blocking_arguments(sub)
+    sub.add_argument("--threshold", type=_unit_interval, default=0.8)
+    sub.add_argument("--progress", action="store_true",
+                     help="stream task lifecycle events to stderr while "
+                          "the job runs")
+
+
+def _add_backend_arguments(
+    sub: argparse.ArgumentParser, *, backend_help: str
+) -> None:
+    """Local execution flags of dedup, link and ingest."""
+    sub.add_argument("--backend",
+                     choices=["serial", "parallel", "async", "distributed"],
+                     default="serial", help=backend_help)
+    sub.add_argument("--workers", type=_positive_int, default=None,
+                     help="pool size for --backend parallel/async "
+                          "(default: all cores) or worker-process count "
+                          "for --backend distributed (default: 2)")
+    sub.add_argument("--task-timeout", type=_positive_float, default=None,
+                     help="for --backend distributed: seconds one task "
+                          "may run on a worker before the worker is "
+                          "presumed hung, killed, and the task requeued")
+    sub.add_argument("--max-worker-respawns", type=_non_negative_int,
+                     default=None, metavar="N",
+                     help="for --backend distributed: replacement "
+                          "workers that may be spawned after losses "
+                          "(default 0: the pool only shrinks)")
+    sub.add_argument("--memory-budget", type=_positive_int, default=None,
+                     help="max map-output records buffered in memory "
+                          "during the shuffle; the rest spills through "
+                          "sorted run files on disk (same results)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = subparsers.add_parser("generate", help="generate a synthetic dataset CSV")
     generate.add_argument("--kind", choices=["products", "publications"], default="products")
-    generate.add_argument("--num", type=int, default=1_000)
+    generate.add_argument("--num", type=_positive_int, default=1_000)
     generate.add_argument("--seed", type=int, default=42)
     generate.add_argument("--output", required=True)
 
@@ -150,39 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
                                   "inputs are dataset directories written "
                                   "by 'pack'")
         sub.add_argument("--output", required=True)
-        sub.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
-                         default="blocksplit")
-        sub.add_argument("--attribute", default="title")
-        sub.add_argument("--prefix-length", type=int, default=3)
-        sub.add_argument("--threshold", type=float, default=0.8)
-        sub.add_argument("-m", "--map-tasks", type=int, default=4)
-        sub.add_argument("-r", "--reduce-tasks", type=int, default=8)
-        sub.add_argument("--backend",
-                         choices=["serial", "parallel", "async", "distributed"],
-                         default="serial",
-                         help="execution backend (parallel = worker pool, "
-                              "async = thread executor, distributed = "
-                              "worker processes over sockets)")
-        sub.add_argument("--workers", type=_positive_int, default=None,
-                         help="pool size for --backend parallel/async "
-                              "(default: all cores) or worker-process count "
-                              "for --backend distributed (default: 2)")
-        sub.add_argument("--task-timeout", type=_positive_float, default=None,
-                         help="for --backend distributed: seconds one task "
-                              "may run on a worker before the worker is "
-                              "presumed hung, killed, and the task requeued")
-        sub.add_argument("--max-worker-respawns", type=int, default=None,
-                         metavar="N",
-                         help="for --backend distributed: replacement "
-                              "workers that may be spawned after losses "
-                              "(default 0: the pool only shrinks)")
-        sub.add_argument("--memory-budget", type=_positive_int, default=None,
-                         help="max map-output records buffered in memory "
-                              "during the shuffle; the rest spills through "
-                              "sorted run files on disk (same results)")
-        sub.add_argument("--progress", action="store_true",
-                         help="stream task lifecycle events to stderr while "
-                              "the pipeline runs")
+        _add_pipeline_arguments(sub)
+        _add_backend_arguments(
+            sub,
+            backend_help="execution backend (parallel = worker pool, "
+                         "async = thread executor, distributed = "
+                         "worker processes over sockets)",
+        )
         sub.add_argument("--save-result", metavar="PATH", default=None,
                          help="persist the full PipelineResult as versioned "
                               "JSON (replayable with 'simulate "
@@ -221,34 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--token", default=None,
                         help="service token for --server (default: the "
                              "REPRO_SERVE_TOKEN environment variable)")
-    ingest.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
-                        default="blocksplit")
-    ingest.add_argument("--attribute", default="title")
-    ingest.add_argument("--prefix-length", type=int, default=3)
-    ingest.add_argument("--threshold", type=float, default=0.8)
-    ingest.add_argument("-m", "--map-tasks", type=int, default=4)
-    ingest.add_argument("-r", "--reduce-tasks", type=int, default=8)
-    ingest.add_argument("--backend",
-                        choices=["serial", "parallel", "async", "distributed"],
-                        default="serial",
-                        help="execution backend for the delta run "
-                             "(ignored with --server: the daemon's "
-                             "shared pool executes)")
-    ingest.add_argument("--workers", type=_positive_int, default=None,
-                        help="pool size for --backend parallel/async, "
-                             "worker-process count for distributed")
-    ingest.add_argument("--task-timeout", type=_positive_float, default=None,
-                        help="for --backend distributed: per-task "
-                             "timeout before a worker is presumed hung")
-    ingest.add_argument("--max-worker-respawns", type=int, default=None,
-                        metavar="N",
-                        help="for --backend distributed: replacement "
-                             "workers after losses (default 0)")
-    ingest.add_argument("--memory-budget", type=_positive_int, default=None,
-                        help="max map-output records buffered in memory "
-                             "during the shuffle (rest spills to disk)")
-    ingest.add_argument("--progress", action="store_true",
-                        help="stream task lifecycle events to stderr")
+    _add_pipeline_arguments(ingest)
+    _add_backend_arguments(
+        ingest,
+        backend_help="execution backend for the delta run "
+                     "(ignored with --server: the daemon's "
+                     "shared pool executes)",
+    )
 
     serve = subparsers.add_parser(
         "serve",
@@ -274,16 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="memory = CSV input; columnar = --input is a "
                              "dataset directory written by 'pack'")
     submit.add_argument("--output", required=True)
-    submit.add_argument("--strategy", choices=["basic", "blocksplit", "pairrange"],
-                        default="blocksplit")
-    submit.add_argument("--attribute", default="title")
-    submit.add_argument("--prefix-length", type=int, default=3)
-    submit.add_argument("--threshold", type=float, default=0.8)
-    submit.add_argument("-m", "--map-tasks", type=int, default=4)
-    submit.add_argument("-r", "--reduce-tasks", type=int, default=8)
-    submit.add_argument("--progress", action="store_true",
-                        help="stream forwarded task lifecycle events to "
-                             "stderr while the job runs remotely")
+    _add_pipeline_arguments(submit)
 
     simulate = subparsers.add_parser(
         "simulate", help="simulate strategies on a cluster (analytic planners)"
@@ -293,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="replan from a persisted PipelineResult JSON "
                                "(written by dedup/link --save-result) instead "
                                "of a synthetic --dataset; nothing re-executes")
-    simulate.add_argument("--nodes", type=int, default=10)
-    simulate.add_argument("--map-tasks", type=int, default=None,
+    simulate.add_argument("--nodes", type=_positive_int, default=10)
+    simulate.add_argument("--map-tasks", type=_positive_int, default=None,
                           help="default: 2 x nodes")
-    simulate.add_argument("--reduce-tasks", type=int, default=None,
+    simulate.add_argument("--reduce-tasks", type=_positive_int, default=None,
                           help="default: 10 x nodes")
     simulate.add_argument(
         "--strategies", nargs="+",
@@ -309,10 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyse a CSV's blocking skew and recommend a strategy",
     )
     recommend.add_argument("--input", required=True)
-    recommend.add_argument("--attribute", default="title")
-    recommend.add_argument("--prefix-length", type=int, default=3)
-    recommend.add_argument("-m", "--map-tasks", type=int, default=4)
-    recommend.add_argument("-r", "--reduce-tasks", type=int, default=8)
+    _add_blocking_arguments(recommend)
     recommend.add_argument("--sorted-input", action="store_true",
                            help="the file is sorted by the blocking key")
     recommend.add_argument("--input-format", choices=["memory", "csv-shards"],

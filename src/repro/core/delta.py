@@ -46,7 +46,7 @@ from ..er.blocking import BlockKey
 from ..er.entity import Entity
 from ..er.matching import Matcher
 from ..mapreduce.job import MapReduceJob, TaskContext, stable_hash
-from ..mapreduce.types import KeyCodec, PackedProjection, packed_keys_enabled
+from ..mapreduce.types import KeyCodec, PackedProjection
 from .bdm import BlockDistributionMatrix
 from .enumeration import (
     PairRangeSpec,
@@ -527,15 +527,14 @@ class DeltaBlockSplitJob(MapReduceJob):
         self.reduce_comparisons = tuple(loads)
         self.split_blocks = split_blocks
         self.threshold = threshold
-        if packed_keys_enabled():
-            m = max(1, bdm.num_partitions)
-            codec = KeyCodec(
-                max(1, num_reduce_tasks),
-                max(1, bdm.num_blocks),
-                m,
-                m,
-            )
-            self.packed_projection = PackedProjection.full_key(codec)
+        m = max(1, bdm.num_partitions)
+        codec = KeyCodec(
+            max(1, num_reduce_tasks),
+            max(1, bdm.num_blocks),
+            m,
+            m,
+        )
+        self.packed_projection = PackedProjection.full_key(codec)
 
     # -- map phase ---------------------------------------------------------
 
@@ -608,14 +607,13 @@ class DeltaPairRangeJob(MapReduceJob):
         self.num_reduce_tasks = num_reduce_tasks
         self.enumeration = DeltaPairEnumeration(bdm.delta_block_sizes())
         self.spec = PairRangeSpec(self.enumeration.total_pairs, num_reduce_tasks)
-        if packed_keys_enabled():
-            sizes = [n for _o, n in self.enumeration.block_sizes]
-            codec = KeyCodec(
-                max(1, num_reduce_tasks),
-                max(1, bdm.num_blocks),
-                max(1, max(sizes, default=1)),
-            )
-            self.packed_projection = PackedProjection.prefix(codec, 2)
+        sizes = [n for _o, n in self.enumeration.block_sizes]
+        codec = KeyCodec(
+            max(1, num_reduce_tasks),
+            max(1, bdm.num_blocks),
+            max(1, max(sizes, default=1)),
+        )
+        self.packed_projection = PackedProjection.prefix(codec, 2)
 
     # -- map phase ---------------------------------------------------------
 
@@ -636,11 +634,6 @@ class DeltaPairRangeJob(MapReduceJob):
 
     def partition(self, key: PairRangeKey, num_reduce_tasks: int) -> int:
         return key.range_index
-
-    def group_key(self, key: PairRangeKey) -> Any:
-        if self.packed_projection is not None:
-            return super().group_key(key)
-        return (key.range_index, key.block)
 
     # -- reduce phase ------------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ..er.blocking import BlockingFunction, ConstantBlocking
 from ..er.entity import Entity
-from ..er.matching import Matcher, MatchResult, ThresholdMatcher
+from ..er.matching import MatchResult, ThresholdMatcher
 from ..engine.backend import ExecutionBackend
 from ..engine.pipeline import ERPipeline
 

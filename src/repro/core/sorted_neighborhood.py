@@ -35,7 +35,7 @@ from ..er.matching import Matcher, MatchResult
 from ..mapreduce.counters import StandardCounter, flush_pair_counters
 from ..mapreduce.job import MapReduceJob, TaskContext
 from ..mapreduce.runtime import JobResult, LocalRuntime
-from ..mapreduce.types import Partition, make_partitions
+from ..mapreduce.types import make_partitions
 
 SortKeyFn = Callable[[Entity], Any]
 

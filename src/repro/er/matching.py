@@ -11,7 +11,7 @@ simulation (comparisons are the dominant cost).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .batch_kernel import CrossPairs, matching_positions, score_pair_batch

@@ -66,65 +66,6 @@ def levenshtein_distance_reference(
     return previous[len(b)]
 
 
-def _myers_distance(pattern: str, text: str, max_distance: int | None) -> int:
-    """Myers' bit-parallel edit distance — O(|text|) word operations.
-
-    ``pattern`` must be the shorter string and at most 64 characters;
-    the whole DP column lives in the bits of two machine words (VP/VN,
-    the positive/negative vertical deltas).  The running ``score`` is
-    the value of the column's last cell; the final distance can drop by
-    at most one per remaining text character, which gives the Ukkonen
-    early exit ``score - remaining > max_distance``.
-    """
-    m = len(pattern)
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in pattern:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    vp = mask
-    vn = 0
-    score = m
-    get = peq.get
-    if max_distance is None:
-        for ch in text:
-            eq = get(ch, 0)
-            xv = eq | vn
-            xh = (((eq & vp) + vp) ^ vp) | eq
-            hp = vn | ~(xh | vp)
-            hn = vp & xh
-            if hp & last:
-                score += 1
-            elif hn & last:
-                score -= 1
-            hp = ((hp << 1) | 1) & mask
-            hn = (hn << 1) & mask
-            vp = (hn | ~(xv | hp)) & mask
-            vn = hp & xv
-        return score
-    remaining = len(text)
-    for ch in text:
-        eq = get(ch, 0)
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | ~(xh | vp)
-        hn = vp & xh
-        if hp & last:
-            score += 1
-        elif hn & last:
-            score -= 1
-        remaining -= 1
-        if score - remaining > max_distance:
-            return max_distance + 1
-        hp = ((hp << 1) | 1) & mask
-        hn = (hn << 1) & mask
-        vp = (hn | ~(xv | hp)) & mask
-        vn = hp & xv
-    return score
-
-
 MyersMasks = tuple[dict[str, int], int, int, int]
 
 
@@ -137,7 +78,7 @@ def myers_masks(pattern: str) -> MyersMasks:
     short strings, so batched scoring packs them once per *distinct*
     string and reuses them across every pair sharing that pattern
     (:mod:`repro.er.batch_kernel`).  ``pattern`` must be non-empty and
-    at most 64 characters, same as :func:`_myers_distance`.
+    at most 64 characters: the DP column must fit one machine word.
     """
     m = len(pattern)
     peq: dict[str, int] = {}
@@ -149,33 +90,27 @@ def myers_masks(pattern: str) -> MyersMasks:
 
 
 def myers_distance_masks(masks: MyersMasks, text: str, max_distance: int | None) -> int:
-    """:func:`_myers_distance` over masks prepacked by :func:`myers_masks`.
+    """Myers' bit-parallel edit distance — O(|text|) word operations.
 
-    Identical loop, identical results — the only difference is that the
-    per-call ``peq`` construction has been hoisted out so a batch of
-    pairs sharing one pattern pays it once.
+    Runs against masks prepacked by :func:`myers_masks`, so a batch of
+    pairs sharing one pattern pays the ``peq`` construction once.  The
+    whole DP column lives in the bits of two machine words (VP/VN, the
+    positive/negative vertical deltas).  The running ``score`` is the
+    value of the column's last cell; the final distance can drop by at
+    most one per remaining text character, which gives the Ukkonen
+    early exit ``score - remaining > max_distance``.  Returns the exact
+    distance, or ``max_distance + 1`` once the bound is provably
+    exceeded.
     """
     peq, mask, last, m = masks
+    if max_distance is None:
+        # The distance never exceeds the longer length, so this bound
+        # never trips the early exit.
+        max_distance = max(m, len(text))
     vp = mask
     vn = 0
     score = m
     get = peq.get
-    if max_distance is None:
-        for ch in text:
-            eq = get(ch, 0)
-            xv = eq | vn
-            xh = (((eq & vp) + vp) ^ vp) | eq
-            hp = vn | ~(xh | vp)
-            hn = vp & xh
-            if hp & last:
-                score += 1
-            elif hn & last:
-                score -= 1
-            hp = ((hp << 1) | 1) & mask
-            hn = (hn << 1) & mask
-            vp = (hn | ~(xv | hp)) & mask
-            vn = hp & xv
-        return score
     remaining = len(text)
     for ch in text:
         eq = get(ch, 0)
@@ -231,11 +166,11 @@ def myers_distance_batch(np, patterns, texts, max_distances):
 
     ``patterns[k]``/``texts[k]``/``max_distances[k]`` describe lane
     ``k``; every pattern must be non-empty and at most 64 characters
-    (the :func:`_myers_distance` contract), and every bound must be
+    (the :func:`myers_masks` contract), and every bound must be
     ``>= 0``.  Returns an ``int64`` array where lane ``k`` holds exactly
-    what ``_myers_distance(patterns[k], texts[k], max_distances[k])``
-    returns — the exact distance, or ``max_distances[k] + 1`` once the
-    bound is provably exceeded.
+    what ``myers_distance_masks(myers_masks(patterns[k]), texts[k],
+    max_distances[k])`` returns — the exact distance, or
+    ``max_distances[k] + 1`` once the bound is provably exceeded.
 
     The whole batch advances one text position per step: each lane's
     DP column lives in one ``uint64`` element of the VP/VN arrays, so a
@@ -422,7 +357,7 @@ def levenshtein_distance(a: str, b: str, *, max_distance: int | None = None) -> 
     if not b:
         return la
     if lb <= 64:
-        return _myers_distance(b, a, max_distance)
+        return myers_distance_masks(myers_masks(b), a, max_distance)
     if max_distance is not None:
         return _banded_distance(a, b, max_distance)
     # Unbounded and both sides > 64 chars: Ukkonen's doubling bands.

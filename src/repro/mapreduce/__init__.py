@@ -14,15 +14,7 @@ from .events import EventChannel, EventKind, ExecutionEvent, PipelineCancelled
 from .external_shuffle import ExternalShuffle
 from .job import Emitter, JobConfig, LambdaJob, MapReduceJob, TaskContext, stable_hash
 from .runtime import JobResult, LocalRuntime, MapTaskResult, ReduceTaskResult
-from .shuffle import (
-    group_bucket,
-    group_presorted_bucket,
-    group_presorted_entries,
-    partition_map_output,
-    shuffle,
-    shuffle_bucket,
-    sort_bucket,
-)
+from .shuffle import group_entries, partition_map_output, shuffle, sort_entries
 from .types import (
     KeyCodec,
     KeyValue,
@@ -30,21 +22,12 @@ from .types import (
     Partition,
     ReduceGroup,
     make_partitions,
-    packed_keys,
-    packed_keys_enabled,
-    set_packed_keys,
     shard_bounds,
 )
 
 __all__ = [
     "KeyCodec",
     "PackedProjection",
-    "packed_keys",
-    "packed_keys_enabled",
-    "set_packed_keys",
-    "shuffle_bucket",
-    "group_presorted_bucket",
-    "group_presorted_entries",
     "EventChannel",
     "EventKind",
     "ExecutionEvent",
@@ -64,10 +47,10 @@ __all__ = [
     "LocalRuntime",
     "MapTaskResult",
     "ReduceTaskResult",
-    "group_bucket",
+    "group_entries",
     "partition_map_output",
     "shuffle",
-    "sort_bucket",
+    "sort_entries",
     "KeyValue",
     "Partition",
     "ReduceGroup",

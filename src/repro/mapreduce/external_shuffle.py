@@ -13,9 +13,10 @@ The result is **byte-identical** to the in-memory path.  Every record
 carries a global arrival sequence number, runs are sorted by
 ``(sort key, sequence)``, and the k-way merge compares the same pair —
 so a drained bucket is exactly the stable sort (by the job's sort
-projection) of that bucket's arrival order, which is what
-:func:`~repro.mapreduce.shuffle.sort_bucket` produces.  The reduce
-task's own stable sort then leaves the order untouched, and grouping,
+projection) of that bucket's arrival order.  Buckets drain as
+``(sort key, record)`` entries, the list
+:func:`~repro.mapreduce.shuffle.sort_entries` builds for an in-memory
+bucket, so the reduce task groups them directly and grouping,
 matching, and counters come out the same.
 """
 
@@ -71,12 +72,6 @@ class ExternalShuffle:
         self.job = job
         self.num_reduce_tasks = num_reduce_tasks
         self.memory_budget = memory_budget
-        # Packed jobs hand us their codec directly — one call per record
-        # instead of the sort_key method wrapper.
-        projection = job.packed_projection
-        self._sort_key = (
-            projection.codec.encode if projection is not None else job.sort_key
-        )
         if spill_dir is None:
             self._dir = Path(tempfile.mkdtemp(prefix="repro-shuffle-"))
             self._owns_dir = True
@@ -107,7 +102,7 @@ class ExternalShuffle:
             raise RuntimeError("cannot add records to a closed shuffle")
         job = self.job
         index = job.validate_partition(record.key, self.num_reduce_tasks)
-        entry = (self._sort_key(record.key), self._next_sequence, record)
+        entry = (job.sort_key(record.key), self._next_sequence, record)
         self._next_sequence += 1
         self._buffers[index].append(entry)
         self._buffered += 1
@@ -165,10 +160,11 @@ class ExternalShuffle:
 
         The returned list is sorted by ``(sort key, arrival sequence)``
         — i.e. the stable sort of the bucket's arrival order, identical
-        to what the in-memory shuffle feeds the same reduce task.  The
-        sort key computed once in :meth:`add` rides along so the reduce
-        task's group walk (:func:`~repro.mapreduce.shuffle.
-        group_presorted_entries`) never re-encodes a record.
+        to what :func:`~repro.mapreduce.shuffle.sort_entries` returns for
+        the same bucket held in memory.  The sort key computed once in
+        :meth:`add` rides along so the reduce task's group walk
+        (:func:`~repro.mapreduce.shuffle.group_entries`) never
+        re-projects a record.
         """
         if self._closed:
             raise RuntimeError("cannot drain a closed shuffle")
@@ -183,11 +179,6 @@ class ExternalShuffle:
         streams.append(tail)
         merged = heapq.merge(*streams, key=_entry_order)
         return [(key, record) for key, _seq, record in merged]
-
-    def bucket_records(self, index: int) -> list[KeyValue]:
-        """One reduce task's records (sort keys stripped), merged like
-        :meth:`bucket_entries`."""
-        return [record for _key, record in self.bucket_entries(index)]
 
     def buckets(self) -> Sequence[list[tuple[Any, KeyValue]]]:
         """A lazy sequence of all reduce buckets, as entry lists.

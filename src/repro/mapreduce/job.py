@@ -97,8 +97,8 @@ class MapReduceJob:
     #: Optional packed sort/group projection spec (see
     #: :class:`~repro.mapreduce.types.PackedProjection`).  Jobs whose
     #: composite-key fields are bounded ints set an instance attribute;
-    #: the shuffle then sorts on single packed ints and derives group
-    #: boundaries from them instead of calling :meth:`sort_key` /
+    #: :meth:`sort_key` then returns the packed int, and the group walk
+    #: derives group boundaries from it instead of calling
     #: :meth:`group_key` per record.
     packed_projection = None
 
@@ -138,9 +138,9 @@ class MapReduceJob:
         """Projection of ``key`` used for sorting inside a reduce task.
 
         When the job advertises a :attr:`packed_projection`, this *is*
-        the packed encoding — defined here once so the method-based
-        paths (external shuffle, combiner) can never drift from the
-        projection the fast shuffle uses directly.
+        the packed encoding — defined here once, and every shuffle path
+        (in-memory sort, external shuffle, combiner) projects through
+        it.
         """
         projection = self.packed_projection
         return projection.codec.encode(key) if projection is not None else key
@@ -149,9 +149,9 @@ class MapReduceJob:
         """Projection of ``key`` used to form reduce groups.
 
         With a :attr:`packed_projection` this is the shift/mask of the
-        packed sort key; jobs whose *unpacked* group projection is not
-        the full key override this and delegate to ``super()`` for the
-        packed case.
+        packed sort key, the same value the group walk computes from
+        each entry's sort key.  Jobs without one override this when
+        their group projection is not the full key.
         """
         projection = self.packed_projection
         if projection is None:

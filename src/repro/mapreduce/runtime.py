@@ -37,12 +37,7 @@ from .dfs import DistributedFileSystem
 from .events import EventChannel, EventKind
 from .external_shuffle import ExternalShuffle
 from .job import JobConfig, MapReduceJob, TaskContext
-from .shuffle import (
-    group_presorted_entries,
-    partition_map_output,
-    shuffle_bucket,
-    sort_bucket,
-)
+from .shuffle import group_entries, partition_map_output, sort_entries
 from .types import KeyValue, Partition
 
 #: One schedulable call: (task unit function, argument tuple).
@@ -179,7 +174,7 @@ def _run_combiner(
     if type(job).combine is MapReduceJob.combine:
         return output
 
-    sorted_output = sort_bucket(job, output)
+    sorted_output = [record for _sort_key, record in sort_entries(job, output)]
     combined: list[KeyValue] = []
     i = 0
     n = len(sorted_output)
@@ -212,13 +207,12 @@ def execute_reduce_task(
 ) -> ReduceTaskResult:
     """Run one reduce task over its shuffled bucket.
 
-    ``presorted`` marks buckets that already arrive in the job's sort
-    order (the external shuffle's merged run files).  Such a bucket is a
-    list of ``(sort key, record)`` *entries* — the sort key the spill
-    path computed once in :meth:`~repro.mapreduce.external_shuffle.
-    ExternalShuffle.add` travels all the way here, so grouping reuses it
-    (for packed jobs it *is* the packed int) instead of re-encoding
-    every record.  Unsorted buckets are plain record lists.
+    An in-memory bucket is a plain record list in arrival order, sorted
+    here by :func:`~repro.mapreduce.shuffle.sort_entries`.  A
+    ``presorted`` bucket (the external shuffle's merged run files)
+    already is the list of ``(sort key, record)`` entries that sort
+    would produce.  Either way one group walk runs over the entries and
+    reuses the sort key computed once per record.
     """
     context = TaskContext(config, reduce_index=reduce_index)
     output: list[KeyValue] = []
@@ -227,10 +221,8 @@ def execute_reduce_task(
         output.append(KeyValue(key, value))
 
     job.configure_reduce(context)
-    groups = (
-        group_presorted_entries(job, bucket)
-        if presorted
-        else shuffle_bucket(job, bucket)
+    groups = group_entries(
+        job, bucket if presorted else sort_entries(job, bucket)
     )
     for group in groups:
         job.reduce(group.key, group.values, emit, context)

@@ -5,10 +5,18 @@ hardest — composite keys are *partitioned* on one component, *sorted*
 on the whole key and *grouped* on another projection, which is what
 lets a reduce task receive several blocks (or pair ranges) in a
 well-defined order.
+
+A reduce task's input moves through one representation: stably sorted
+``(sort key, record)`` entries.  :func:`sort_entries` builds them from
+an in-memory bucket; the spill path
+(:class:`~repro.mapreduce.external_shuffle.ExternalShuffle`) yields them
+from its merged run files.  :func:`group_entries` then forms the reduce
+groups in one walk.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Sequence
 
 from .job import MapReduceJob
@@ -34,150 +42,65 @@ def partition_map_output(
     return buckets
 
 
-def sort_bucket(job: MapReduceJob, bucket: Sequence[KeyValue]) -> list[KeyValue]:
+def sort_entries(
+    job: MapReduceJob, bucket: Sequence[KeyValue]
+) -> list[tuple[Any, KeyValue]]:
     """Stably sort one reduce task's input by the job's sort projection.
+
+    Returns ``(sort key, record)`` entries — the representation
+    :meth:`~repro.mapreduce.external_shuffle.ExternalShuffle.
+    bucket_entries` yields for spilled buckets — so the group walk of
+    :func:`group_entries` reuses each record's sort key.  Each key is
+    projected once, and only the sort keys are compared (never the
+    records).
 
     Stability matters: records with equal sort keys keep their map-task
     arrival order, which the BlockSplit reduce function exploits when it
     buffers the first sub-block of a cross-product match task.
-
-    The strategy jobs' sort projections are packed ints
-    (:class:`~repro.mapreduce.types.KeyCodec`), so the comparisons
-    inside ``sorted`` are single int compares rather than
-    element-by-element tuple walks.
     """
     sort_key = job.sort_key
-    return sorted(bucket, key=lambda record: sort_key(record.key))
+    entries = [(sort_key(record.key), record) for record in bucket]
+    entries.sort(key=itemgetter(0))
+    return entries
 
 
-def _walk_groups(keyed_records) -> list[ReduceGroup]:
-    """Fold an in-sort-order stream of ``(group key, record)`` pairs
-    into reduce groups.
+def group_entries(
+    job: MapReduceJob, entries: Sequence[tuple[Any, KeyValue]]
+) -> list[ReduceGroup]:
+    """Fold sorted ``(sort key, record)`` entries into reduce groups.
 
-    Consecutive pairs with equal group keys form one group; the
+    Consecutive entries with equal group keys form one group; the
     representative key of a group is the full key of its first record
-    (Hadoop semantics).  Every grouping entry point below shares this
-    walk except :func:`shuffle_bucket`, whose packed fast path keeps an
-    inlined copy — any change to the boundary semantics here must be
-    mirrored there.
-    """
-    groups: list[ReduceGroup] = []
-    current_key: Any = None
-    current_group_key: Any = None
-    current_values: list[Any] = []
-    have_group = False
-    for gk, record in keyed_records:
-        if have_group and gk == current_group_key:
-            current_values.append(record.value)
-        else:
-            if have_group:
-                groups.append(ReduceGroup(current_key, tuple(current_values)))
-            current_key = record.key
-            current_group_key = gk
-            current_values = [record.value]
-            have_group = True
-    if have_group:
-        groups.append(ReduceGroup(current_key, tuple(current_values)))
-    return groups
-
-
-def group_bucket(job: MapReduceJob, sorted_bucket: Sequence[KeyValue]) -> list[ReduceGroup]:
-    """Split a sorted bucket into reduce groups by the group projection."""
-    group_key = job.group_key
-    return _walk_groups((group_key(record.key), record) for record in sorted_bucket)
-
-
-def shuffle_bucket(job: MapReduceJob, bucket: Sequence[KeyValue]) -> list[ReduceGroup]:
-    """Sort and group one bucket in a single pass.
-
-    Equivalent to ``group_bucket(job, sort_bucket(job, bucket))`` — the
-    method-based path it falls back to — but when the job advertises a
-    :class:`~repro.mapreduce.types.PackedProjection`, each key is
-    packed exactly once into an int array, the *record indexes* are
-    sorted against that array (a stable sort of ints: equal packed keys
-    keep arrival order, and records themselves are never compared), and
-    the group projection is two int ops on the already-packed value.
-    The per-record Python-call cost of the sort/group projections — the
-    dominant shuffle cost for composite keys — disappears.
+    (Hadoop semantics).  For a job with a
+    :class:`~repro.mapreduce.types.PackedProjection` the group key is a
+    shift/mask of the packed sort key the entry already carries; other
+    jobs project each record's key through ``job.group_key``.
     """
     projection = job.packed_projection
     if projection is None:
-        return group_bucket(job, sort_bucket(job, bucket))
-    encode = projection.codec.encode
-    shift = projection.group_shift
-    mask = projection.group_mask
-    packed = [encode(record.key) for record in bucket]
-    order = sorted(range(len(bucket)), key=packed.__getitem__)
+        group_key = job.group_key
+        group_keys = [group_key(record.key) for _sort_key, record in entries]
+    else:
+        shift = projection.group_shift
+        mask = projection.group_mask
+        group_keys = [(packed >> shift) & mask for packed, _record in entries]
 
-    # Inlined copy of the _walk_groups boundary walk: this is the
-    # hottest shuffle loop (every in-memory map output record passes
-    # through it), so it avoids the generator indirection.  Keep the
-    # group-boundary semantics in lockstep with _walk_groups.
     groups: list[ReduceGroup] = []
     current_key: Any = None
-    current_group: int = -1
+    current_group: Any = None
     current_values: list[Any] = []
-    have_group = False
-    for index in order:
-        gk = (packed[index] >> shift) & mask
-        record = bucket[index]
-        if have_group and gk == current_group:
+    for gk, (_sort_key, record) in zip(group_keys, entries):
+        if current_values and gk == current_group:
             current_values.append(record.value)
         else:
-            if have_group:
+            if current_values:
                 groups.append(ReduceGroup(current_key, tuple(current_values)))
             current_key = record.key
             current_group = gk
             current_values = [record.value]
-            have_group = True
-    if have_group:
+    if current_values:
         groups.append(ReduceGroup(current_key, tuple(current_values)))
     return groups
-
-
-def group_presorted_entries(
-    job: MapReduceJob, entries: Sequence[tuple[Any, KeyValue]]
-) -> list[ReduceGroup]:
-    """Group a pre-sorted bucket of ``(sort key, record)`` entries.
-
-    The spill path ends here: :class:`~repro.mapreduce.external_shuffle.
-    ExternalShuffle` computes each record's sort projection exactly once
-    (in ``add``), merges its run files by it, and hands the pairs over
-    wholesale — so for packed jobs the group walk is a shift/mask of the
-    *already-encoded* int, with no second ``encode`` per record.
-    Non-packed jobs group by the method projection, as the sort key is
-    an arbitrary projection that need not determine the group key.
-    """
-    projection = job.packed_projection
-    if projection is None:
-        return group_bucket(job, [record for _sort_key, record in entries])
-    shift = projection.group_shift
-    mask = projection.group_mask
-    return _walk_groups(
-        ((packed >> shift) & mask, record) for packed, record in entries
-    )
-
-
-def group_presorted_bucket(
-    job: MapReduceJob, sorted_bucket: Sequence[KeyValue]
-) -> list[ReduceGroup]:
-    """Group a record-only bucket that is already in sort order.
-
-    Like :func:`group_presorted_entries` but for callers that no longer
-    have the sort keys at hand: packed jobs pay one ``encode`` per
-    record for the group walk; others take the method-based
-    :func:`group_bucket`.
-    """
-    projection = job.packed_projection
-    if projection is None:
-        return group_bucket(job, sorted_bucket)
-    encode = projection.codec.encode
-    shift = projection.group_shift
-    mask = projection.group_mask
-    return _walk_groups(
-        ((encode(record.key) >> shift) & mask, record)
-        for record in sorted_bucket
-    )
 
 
 def shuffle(
@@ -187,4 +110,4 @@ def shuffle(
 ) -> list[list[ReduceGroup]]:
     """Full shuffle: returns, per reduce task, its ordered reduce groups."""
     buckets = partition_map_output(job, map_outputs, num_reduce_tasks)
-    return [shuffle_bucket(job, bucket) for bucket in buckets]
+    return [group_entries(job, sort_entries(job, bucket)) for bucket in buckets]

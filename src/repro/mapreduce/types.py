@@ -10,7 +10,6 @@ of the sort projection.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Generic, Iterator, Sequence, TypeVar
 
@@ -136,16 +135,14 @@ class PackedProjection:
     ``codec.encode(key)`` is the sort projection.  Because every
     strategy's group projection is a sub-span of its sort fields, the
     group projection is recovered from the *same* packed int as
-    ``(packed >> group_shift) & group_mask`` — so the combined
-    sort-and-group pass (:func:`~repro.mapreduce.shuffle.shuffle_bucket`)
-    encodes each key exactly once and derives group boundaries with two
-    int ops per record, no further Python calls.
+    ``(packed >> group_shift) & group_mask`` — so the group walk
+    (:func:`~repro.mapreduce.shuffle.group_entries`) reuses the sort key
+    each entry already carries: two int ops per record, no further
+    Python calls.
 
-    ``MapReduceJob.sort_key``/``group_key`` read the advertised
-    projection directly, so the method-based paths (combiner, tuple
-    fallbacks) are consistent with it by construction — jobs only
-    override ``group_key`` to supply their *unpacked* fallback
-    projection.
+    ``MapReduceJob.sort_key``/``group_key`` read this projection
+    directly, so every path that projects a single key (combiner,
+    external shuffle) is consistent with it by construction.
     """
 
     codec: KeyCodec
@@ -177,39 +174,6 @@ class PackedProjection:
             )
         shift = sum(codec.widths[stop:])
         return cls(codec, shift, (1 << sum(codec.widths[start:stop])) - 1)
-
-
-#: Process-wide switch for packed-int sort/group projections.  Jobs
-#: capture the flag at construction time (so it survives pickling into
-#: worker processes); flip it around pipeline construction, not after.
-_PACKED_KEYS = True
-
-
-def packed_keys_enabled() -> bool:
-    """Whether strategy jobs built from now on pack their projections."""
-    return _PACKED_KEYS
-
-
-def set_packed_keys(enabled: bool) -> None:
-    """Enable/disable packed-key projections for jobs built afterwards.
-
-    Exists for the equivalence tests, which prove the packed and tuple
-    shuffle paths against each other; production code has no reason to
-    turn this off.
-    """
-    global _PACKED_KEYS
-    _PACKED_KEYS = bool(enabled)
-
-
-@contextmanager
-def packed_keys(enabled: bool) -> Iterator[None]:
-    """Scoped :func:`set_packed_keys` (restores the previous value)."""
-    previous = _PACKED_KEYS
-    set_packed_keys(enabled)
-    try:
-        yield
-    finally:
-        set_packed_keys(previous)
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,6 @@ from repro.er.batch_kernel import (
 from repro.er.entity import Entity
 from repro.er.matching import Matcher, ThresholdMatcher
 from repro.er.similarity import (
-    _myers_distance,
     levenshtein_distance_reference,
     levenshtein_similarity_bounded,
     myers_distance_masks,
@@ -35,6 +34,7 @@ from repro.er.similarity import (
 )
 
 from ..test_hotpath_equivalence import reference_matcher
+from .test_similarity_kernels import myers_reference
 
 ALPHABET = "abcdeé中文ß😀"
 THRESHOLDS = [0.0, 0.3, 0.8, 1.0]
@@ -135,7 +135,7 @@ class TestMyersMasks:
             )
             masks = myers_masks(pattern)
             for md in (None, rng.randrange(0, 10)):
-                assert myers_distance_masks(masks, text, md) == _myers_distance(
+                assert myers_distance_masks(masks, text, md) == myers_reference(
                     pattern, text, md
                 )
 

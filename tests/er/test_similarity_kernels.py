@@ -17,14 +17,15 @@ import pytest
 from repro.er.batch_kernel import active_numpy
 from repro.er.similarity import (
     _banded_distance,
-    _myers_distance,
     levenshtein_distance,
     levenshtein_distance_reference,
     levenshtein_similarity,
     levenshtein_similarity_bounded,
     levenshtein_similarity_bounded_reference,
     myers_distance_batch,
+    myers_distance_masks,
     myers_mask_table,
+    myers_masks,
     similarity_at_least,
 )
 
@@ -34,6 +35,19 @@ from repro.er.similarity import (
 ALPHABET = "abcdeé中文ß😀"
 
 THRESHOLDS = [0.0, 0.25, 0.5, 0.8, 0.9, 1.0]
+
+
+def myers_reference(pattern: str, text: str, max_distance: int | None) -> int:
+    """What Myers' kernels return, computed by the reference DP.
+
+    The exact distance, or ``max_distance + 1`` once it exceeds the
+    bound; an empty text consumes no character, so the kernels return
+    ``len(pattern)`` for it without checking the bound.
+    """
+    distance = levenshtein_distance_reference(pattern, text)
+    if max_distance is None or distance <= max_distance or not text:
+        return distance
+    return max_distance + 1
 
 
 def _random_pair(rng: random.Random, max_len: int) -> tuple[str, str]:
@@ -124,7 +138,9 @@ class TestKernelInternals:
         for _ in range(300):
             b = "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(1, 65)))
             a = "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(0, 120)))
-            assert _myers_distance(b, a, None) == levenshtein_distance_reference(a, b)
+            assert myers_distance_masks(
+                myers_masks(b), a, None
+            ) == levenshtein_distance_reference(a, b)
 
     def test_banded_within_bound_is_exact(self):
         rng = random.Random(8)
@@ -147,9 +163,9 @@ needs_numpy = pytest.mark.skipif(
 
 @needs_numpy
 class TestMyersDistanceBatch:
-    """Every lane of the vectorized recurrence equals the scalar Myers
-    kernel — and through it the reference DP — including the early-exit
-    semantics of per-lane ``max_distance`` budgets."""
+    """Every lane of the vectorized recurrence returns what the scalar
+    Myers kernel returns, computed by the reference DP — including the
+    early-exit semantics of per-lane ``max_distance`` budgets."""
 
     def _np(self):
         return active_numpy()
@@ -166,7 +182,7 @@ class TestMyersDistanceBatch:
             budgets.append(rng.choice([0, 1, 2, 5, 10, 10**6, max(m, n)]))
         got = myers_distance_batch(self._np(), patterns, texts, budgets)
         for k in range(len(patterns)):
-            want = _myers_distance(patterns[k], texts[k], budgets[k])
+            want = myers_reference(patterns[k], texts[k], budgets[k])
             assert int(got[k]) == want, (patterns[k], texts[k], budgets[k])
 
     def test_unbounded_lanes_match_reference_dp(self):

@@ -9,7 +9,7 @@ import pytest
 from repro.mapreduce.external_shuffle import ExternalShuffle
 from repro.mapreduce.job import LambdaJob
 from repro.mapreduce.runtime import LocalRuntime
-from repro.mapreduce.shuffle import partition_map_output, sort_bucket
+from repro.mapreduce.shuffle import partition_map_output, sort_entries
 from repro.mapreduce.types import KeyValue, make_partitions
 
 NUM_REDUCE_TASKS = 3
@@ -61,13 +61,13 @@ class TestSpilling:
         job = _probe_job()
         records = _records()
         expected = [
-            sort_bucket(job, bucket)
+            sort_entries(job, bucket)
             for bucket in partition_map_output(job, [records], NUM_REDUCE_TASKS)
         ]
         with ExternalShuffle(job, NUM_REDUCE_TASKS, memory_budget=7) as shuffle:
             shuffle.add_records(records)
             drained = [
-                shuffle.bucket_records(i) for i in range(NUM_REDUCE_TASKS)
+                shuffle.bucket_entries(i) for i in range(NUM_REDUCE_TASKS)
             ]
         assert drained == expected
 
@@ -78,12 +78,10 @@ class TestSpilling:
             shuffle.add_records(records)
             assert shuffle.spill_count == 0
             expected = [
-                sort_bucket(job, bucket)
+                sort_entries(job, bucket)
                 for bucket in partition_map_output(job, [records], NUM_REDUCE_TASKS)
             ]
-            assert [
-                [record for _key, record in bucket] for bucket in shuffle.buckets()
-            ] == expected
+            assert list(shuffle.buckets()) == expected
 
     def test_entries_carry_the_sort_key_encoded_at_add_time(self):
         # The (sort key, record) pairs buckets() yields must pair every
@@ -103,7 +101,6 @@ class TestSpilling:
             buckets = shuffle.buckets()
             assert len(buckets) == NUM_REDUCE_TASKS
             assert buckets[1] == shuffle.bucket_entries(1)
-            assert [r for _k, r in buckets[1]] == shuffle.bucket_records(1)
 
 
 class TestValidation:
@@ -121,12 +118,12 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="closed"):
             shuffle.add(KeyValue((0, 0, 0), 0))
         with pytest.raises(RuntimeError, match="closed"):
-            shuffle.bucket_records(0)
+            shuffle.bucket_entries(0)
 
     def test_bucket_index_bounds(self):
         with ExternalShuffle(_probe_job(), NUM_REDUCE_TASKS, 10) as shuffle:
             with pytest.raises(IndexError):
-                shuffle.bucket_records(NUM_REDUCE_TASKS)
+                shuffle.bucket_entries(NUM_REDUCE_TASKS)
 
     def test_spill_files_removed_on_close(self, tmp_path):
         shuffle = ExternalShuffle(

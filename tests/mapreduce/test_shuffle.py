@@ -6,10 +6,10 @@ from typing import NamedTuple
 
 from repro.mapreduce.job import LambdaJob
 from repro.mapreduce.shuffle import (
-    group_bucket,
+    group_entries,
     partition_map_output,
     shuffle,
-    sort_bucket,
+    sort_entries,
 )
 from repro.mapreduce.types import KeyValue
 
@@ -79,9 +79,10 @@ class TestSortAndGroup:
             sort_key_fn=lambda key: key[0],
         )
         bucket = [KeyValue(("a", 2), "x"), KeyValue(("a", 1), "y")]
-        sorted_bucket = sort_bucket(job, bucket)
-        # Equal sort keys keep arrival order.
-        assert [kv.value for kv in sorted_bucket] == ["x", "y"]
+        entries = sort_entries(job, bucket)
+        # Equal sort keys keep arrival order; each record carries its
+        # sort key.
+        assert entries == [("a", bucket[0]), ("a", bucket[1])]
 
     def test_group_on_projection(self):
         # Figure 1: 5 distinct keys -> 5 reduce calls when grouping on
@@ -95,8 +96,8 @@ class TestSortAndGroup:
         whole_key_job = LambdaJob(
             map_fn=lambda *a: None, reduce_fn=lambda *a: None
         )
-        bucket = sort_bucket(whole_key_job, [KeyValue(k, 1) for k in keys])
-        groups = group_bucket(whole_key_job, bucket)
+        entries = sort_entries(whole_key_job, [KeyValue(k, 1) for k in keys])
+        groups = group_entries(whole_key_job, entries)
         assert len(groups) == 3
 
         color_job = LambdaJob(
@@ -104,7 +105,9 @@ class TestSortAndGroup:
             reduce_fn=lambda *a: None,
             group_key_fn=lambda key: key.color,
         )
-        groups = group_bucket(color_job, sort_bucket(color_job, [KeyValue(k, 1) for k in keys]))
+        groups = group_entries(
+            color_job, sort_entries(color_job, [KeyValue(k, 1) for k in keys])
+        )
         assert len(groups) == 2
 
     def test_group_key_is_first_records_full_key(self):
@@ -114,14 +117,14 @@ class TestSortAndGroup:
             group_key_fn=lambda key: key[0],
         )
         bucket = [KeyValue(("g", 1), "a"), KeyValue(("g", 2), "b")]
-        groups = group_bucket(job, sort_bucket(job, bucket))
+        groups = group_entries(job, sort_entries(job, bucket))
         assert len(groups) == 1
         assert groups[0].key == ("g", 1)
         assert groups[0].values == ("a", "b")
 
     def test_empty_bucket(self):
         job = LambdaJob(map_fn=lambda *a: None, reduce_fn=lambda *a: None)
-        assert group_bucket(job, []) == []
+        assert group_entries(job, sort_entries(job, [])) == []
 
 
 class TestFullShuffle:

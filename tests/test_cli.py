@@ -351,3 +351,48 @@ class TestBatchKernelFlag:
                   "--output", str(tmp_path / "m.csv"), "--no-batch-kernel"])
         assert excinfo.value.code == 2
         assert "--no-batch-kernel" in capsys.readouterr().err
+
+
+#: Minimal valid argv per command; the inputs need not exist because a
+#: bad number must be rejected while parsing, before any file is read.
+_COMMAND_ARGV = {
+    "dedup": ["dedup", "--input", "in.csv", "--output", "m.csv"],
+    "link": ["link", "--input-r", "r.csv", "--input-s", "s.csv",
+             "--output", "m.csv"],
+    "ingest": ["ingest", "--state", "state", "--input", "in.csv",
+               "--output", "m.csv"],
+    "submit": ["submit", "--server", "127.0.0.1:9", "--input", "in.csv",
+               "--output", "m.csv"],
+    "recommend": ["recommend", "--input", "in.csv"],
+}
+
+_BLOCKING_BAD = [["-m", "0"], ["-r", "-1"], ["--prefix-length", "0"]]
+_PIPELINE_BAD = _BLOCKING_BAD + [["--threshold", "2"]]
+_BACKEND_BAD = [["--backend", "distributed", "--max-worker-respawns", "-1"]]
+
+_BAD_ARGV = (
+    [
+        _COMMAND_ARGV[command] + bad
+        for command in ("dedup", "link", "ingest")
+        for bad in _PIPELINE_BAD + _BACKEND_BAD
+    ]
+    + [_COMMAND_ARGV["submit"] + bad for bad in _PIPELINE_BAD]
+    + [_COMMAND_ARGV["recommend"] + bad for bad in _BLOCKING_BAD]
+    + [
+        ["simulate", "--nodes", "0"],
+        ["simulate", "--map-tasks", "0"],
+        ["simulate", "--reduce-tasks", "-1"],
+        ["generate", "--num", "0", "--output", "g.csv"],
+    ]
+)
+
+
+class TestNumericFlagValidation:
+    @pytest.mark.parametrize("argv", _BAD_ARGV, ids=" ".join)
+    def test_bad_number_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"repro-er {argv[0]}: error: argument" in err

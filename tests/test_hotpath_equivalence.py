@@ -1,17 +1,18 @@
 """Hot-path equivalence: the optimised pipeline is byte-identical to legacy.
 
 The comparison hot path — bit-parallel Levenshtein kernels, per-group
-prepared matching scored by the batch kernel, packed-int shuffle keys,
-and span-sliced pair enumeration — must not be *observable*: for every
-registered strategy, every backend, every record-source type, and with
-or without a shuffle memory budget, the matches (ids *and* scores), all
-per-task outputs, and every counter must equal what the legacy
-configuration produces:
+prepared matching scored by the batch kernel, and span-sliced pair
+enumeration — must not be *observable*: for every registered strategy,
+every backend, every record-source type, and with or without a shuffle
+memory budget, the matches (ids *and* scores), all per-task outputs,
+and every counter must equal what the legacy configuration produces:
+the reference two-row DP kernel
+(`levenshtein_similarity_bounded_reference`) scored pair by pair
+through the base ``Matcher.match_batch`` (a custom ``similarity_fn``
+bypasses the prepared texts and the batch kernel).
 
-* reference two-row DP kernel (`levenshtein_similarity_bounded_reference`)
-  scored pair by pair through the base ``Matcher.match_batch`` (a custom
-  ``similarity_fn`` bypasses the prepared texts and the batch kernel),
-* tuple sort/group keys (``packed_keys(False)``).
+Packed shuffle keys are the only key path; they are checked against a
+tuple-key oracle in ``tests/mapreduce/test_key_codec.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.er.blocking import PrefixBlocking
 from repro.er.matching import ThresholdMatcher
 from repro.er.similarity import levenshtein_similarity_bounded_reference
 from repro.io import CsvShardSource, GeneratorSource, InMemorySource, shard_bounds
-from repro.mapreduce.types import packed_keys
 
 ALL_STRATEGIES = sorted(STRATEGIES)
 DUAL_STRATEGIES = [
@@ -61,20 +61,19 @@ def _matcher(legacy: bool) -> ThresholdMatcher:
 
 def _run(strategy, *, legacy, backend="serial", memory_budget=None, source=None,
          entities=None, dual=False):
-    with packed_keys(not legacy):
-        pipeline = ERPipeline(
-            strategy,
-            PrefixBlocking("title"),
-            _matcher(legacy),
-            num_map_tasks=NUM_SHARDS,
-            num_reduce_tasks=NUM_REDUCE,
-            backend=backend,
-            memory_budget=memory_budget,
-        )
-        if dual:
-            half = len(entities) // 2
-            return pipeline.run(entities[:half], entities[half:])
-        return pipeline.run(source if source is not None else entities)
+    pipeline = ERPipeline(
+        strategy,
+        PrefixBlocking("title"),
+        _matcher(legacy),
+        num_map_tasks=NUM_SHARDS,
+        num_reduce_tasks=NUM_REDUCE,
+        backend=backend,
+        memory_budget=memory_budget,
+    )
+    if dual:
+        half = len(entities) // 2
+        return pipeline.run(entities[:half], entities[half:])
+    return pipeline.run(source if source is not None else entities)
 
 
 def _job_fingerprint(job_result):
